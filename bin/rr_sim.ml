@@ -10,22 +10,6 @@ let seed_arg =
   let doc = "Random seed for stochastic components (RED, loss injection)." in
   Arg.(value & opt int64 7L & info [ "seed" ] ~docv:"SEED" ~doc)
 
-(* Every engine created below (including in forked sweep workers) picks
-   up the process-wide default, so setting it once at command start is
-   enough. Both schedulers produce byte-identical output; the flag
-   exists for performance comparison and as an escape hatch. *)
-let scheduler_arg =
-  let scheduler_conv = Arg.enum [ ("calendar", `Calendar); ("heap", `Heap) ] in
-  let doc =
-    "Event scheduler backing the simulation engines: the ns-2-style calendar \
-     queue (calendar, default) or the binary heap (heap). Results are \
-     byte-identical either way."
-  in
-  Arg.(
-    value
-    & opt scheduler_conv (Sim.Engine.default_scheduler ())
-    & info [ "scheduler" ] ~docv:"SCHED" ~doc)
-
 let variant_conv =
   let parse s =
     Result.map_error (fun message -> `Msg message) (Core.Variant.of_string s)
@@ -65,8 +49,7 @@ let fig5_term =
     in
     Arg.(value & flag & info [ "background" ] ~doc)
   in
-  let run scheduler drops window background seed =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run drops window background seed =
     if background then
       print_string
         (Experiments.Fig5.report_background (Experiments.Fig5.run_background ~seed ()))
@@ -74,7 +57,7 @@ let fig5_term =
       print_string
         (Experiments.Fig5.report (Experiments.Fig5.run ~drops ~measure_window:window ~seed ()))
   in
-  Term.(const run $ scheduler_arg $ drops $ window $ background $ seed_arg)
+  Term.(const run $ drops $ window $ background $ seed_arg)
 
 let fig5_cmd =
   Cmd.v
@@ -99,8 +82,7 @@ let fig6_term =
     let doc = "Restrict to one TCP variant." in
     Arg.(value & opt (some variant_conv) None & info [ "variant" ] ~doc)
   in
-  let run scheduler plots duration only_variant seed csv =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run plots duration only_variant seed csv =
     let variants =
       match only_variant with
       | Some v -> Some [ v ]
@@ -138,7 +120,7 @@ let fig6_term =
           outcome.Experiments.Fig6.results)
       csv
   in
-  Term.(const run $ scheduler_arg $ plots $ duration $ only_variant $ seed_arg $ csv_arg)
+  Term.(const run $ plots $ duration $ only_variant $ seed_arg $ csv_arg)
 
 let fig6_cmd =
   Cmd.v
@@ -166,15 +148,14 @@ let fig7_term =
     in
     Arg.(value & flag & info [ "delack" ] ~doc)
   in
-  let run scheduler duration runs delack seed =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run duration runs delack seed =
     let seeds = List.init runs (fun i -> Int64.add seed (Int64.of_int i)) in
     let outcome = Experiments.Fig7.run ~seeds ~duration ~delayed_ack:delack () in
     print_string (Experiments.Fig7.report outcome);
     print_newline ();
     print_string (Experiments.Fig7.plot outcome)
   in
-  Term.(const run $ scheduler_arg $ duration $ runs $ delack $ seed_arg)
+  Term.(const run $ duration $ runs $ delack $ seed_arg)
 
 let fig7_cmd =
   Cmd.v
@@ -187,11 +168,10 @@ let fig7_cmd =
 (* table5 *)
 
 let table5_term =
-  let run scheduler seed =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run seed =
     print_string (Experiments.Table5.report (Experiments.Table5.run ~seed ()))
   in
-  Term.(const run $ scheduler_arg $ seed_arg)
+  Term.(const run $ seed_arg)
 
 let table5_cmd =
   Cmd.v
@@ -208,11 +188,10 @@ let ablation_term =
     let doc = "Loss-burst size for the ablation scenario." in
     Arg.(value & opt int 6 & info [ "drops" ] ~docv:"N" ~doc)
   in
-  let run scheduler drops =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run drops =
     print_string (Experiments.Ablation.report (Experiments.Ablation.run ~drops ()))
   in
-  Term.(const run $ scheduler_arg $ drops)
+  Term.(const run $ drops)
 
 let ablation_cmd =
   Cmd.v
@@ -221,17 +200,17 @@ let ablation_cmd =
 
 (* extension experiments *)
 
+(* A report command with no options of its own. *)
+let report_term report run =
+  Term.(const (fun () -> print_string (report (run ()))) $ const ())
+
 let ack_loss_cmd =
   Cmd.v
     (Cmd.info "ackloss"
        ~doc:
          "ACK-loss robustness of recovery (paper section 2.3): burst recovery \
           under reverse-path drops.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Ack_loss.report (Experiments.Ack_loss.run ())))
-       $ scheduler_arg)
+    (report_term Experiments.Ack_loss.report Experiments.Ack_loss.run)
 
 let sync_cmd =
   Cmd.v
@@ -239,11 +218,7 @@ let sync_cmd =
        ~doc:
          "Global synchronization and fairness: drop-tail vs RED gateways \
           (paper section 3.3 motivation).")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Sync.report (Experiments.Sync.run ())))
-       $ scheduler_arg)
+    (report_term Experiments.Sync.report Experiments.Sync.run)
 
 let smooth_cmd =
   Cmd.v
@@ -251,11 +226,7 @@ let smooth_cmd =
        ~doc:
          "Smooth-Start extension (paper reference [21]): slow-start overshoot \
           control.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Smooth.report (Experiments.Smooth.run ())))
-       $ scheduler_arg)
+    (report_term Experiments.Smooth.report Experiments.Smooth.run)
 
 let rtt_cmd =
   Cmd.v
@@ -263,11 +234,7 @@ let rtt_cmd =
        ~doc:
          "RTT fairness: AIMD convergence with equal RTTs (paper section 5) \
           and the short-RTT bias with unequal ones.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Rtt_fairness.report (Experiments.Rtt_fairness.run ())))
-       $ scheduler_arg)
+    (report_term Experiments.Rtt_fairness.report Experiments.Rtt_fairness.run)
 
 let sensitivity_cmd =
   Cmd.v
@@ -275,11 +242,7 @@ let sensitivity_cmd =
        ~doc:
          "Robustness sweep: the Figure 5 ordering across gateway buffer sizes \
           and propagation delays.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Sensitivity.report (Experiments.Sensitivity.run ())))
-       $ scheduler_arg)
+    (report_term Experiments.Sensitivity.report Experiments.Sensitivity.run)
 
 let two_way_cmd =
   Cmd.v
@@ -287,11 +250,7 @@ let two_way_cmd =
        ~doc:
          "Two-way traffic (paper reference [22]): ACK compression and loss \
           when data flows in both directions.")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Two_way.report (Experiments.Two_way.run ())))
-       $ scheduler_arg)
+    (report_term Experiments.Two_way.report Experiments.Two_way.run)
 
 let vegas_cmd =
   Cmd.v
@@ -299,11 +258,7 @@ let vegas_cmd =
        ~doc:
          "Vegas decomposition (paper reference [8]): does Vegas' gain come \
           from recovery or congestion avoidance?")
-    Term.(
-       const (fun scheduler ->
-           Sim.Engine.set_default_scheduler scheduler;
-           print_string (Experiments.Vegas_claim.report (Experiments.Vegas_claim.run ())))
-       $ scheduler_arg)
+    (report_term Experiments.Vegas_claim.report Experiments.Vegas_claim.run)
 
 (* audit: invariant sweep over every variant and scenario shape *)
 
@@ -380,11 +335,7 @@ let audit_cmd =
          "Run the invariant auditor over every TCP variant under drop-tail \
           and RED gateways and a range of loss patterns; exit non-zero on \
           any violation.")
-    Term.(
-      const (fun scheduler seed ->
-          Sim.Engine.set_default_scheduler scheduler;
-          audit_sweep seed)
-      $ scheduler_arg $ seed_arg)
+    Term.(const audit_sweep $ seed_arg)
 
 (* run: ad-hoc scenario *)
 
@@ -626,10 +577,9 @@ let run_term =
     in
     Arg.(value & opt_all cross_conv [] & info [ "cross-traffic" ] ~docv:"BPS[:BYTES][:reverse]" ~doc)
   in
-  let run scheduler variant rrr_level topology flows duration red buffer loss
+  let run variant rrr_level topology flows duration red buffer loss
       rwnd ack_loss delack limited_transmit rto tracefile trace trace_format
       audit audit_sample faults link_schedule cross seed csv =
-    Sim.Engine.set_default_scheduler scheduler;
     (if audit_sample < 0 then begin
        Printf.eprintf "rr-sim: --audit-sample must be >= 0\n";
        exit 2
@@ -819,7 +769,7 @@ let run_term =
     end
   in
   Term.(
-    const run $ scheduler_arg $ variant $ rrr_level $ topology $ flows
+    const run $ variant $ rrr_level $ topology $ flows
     $ duration $ red $ buffer $ loss $ rwnd $ ack_loss $ delack
     $ limited_transmit $ rto $ tracefile $ trace $ trace_format $ audit
     $ audit_sample $ faults $ link_schedule $ cross $ seed_arg $ csv_arg)
@@ -998,9 +948,9 @@ let sweep_term =
     let pool_conv =
       Arg.enum
         [
-          ("serial", Some Campaign.Pool.Serial);
-          ("fork", Some Campaign.Pool.Forked);
-          ("domains", Some Campaign.Pool.Domains);
+          ("serial", Campaign.Pool.Serial);
+          ("fork", Campaign.Pool.Forked);
+          ("domains", Campaign.Pool.Domains);
         ]
     in
     let doc =
@@ -1010,7 +960,8 @@ let sweep_term =
        than kill the worker) or $(b,serial) (in-process loop). Default: \
        fork when more than one worker, serial otherwise."
     in
-    Arg.(value & opt pool_conv None & info [ "pool" ] ~docv:"BACKEND" ~doc)
+    Arg.(
+      value & opt (some pool_conv) None & info [ "pool" ] ~docv:"BACKEND" ~doc)
   in
   let cache_dir =
     let doc = "Result-cache directory (content-addressed JSON entries)." in
@@ -1052,11 +1003,10 @@ let sweep_term =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let run scheduler variants gateways topologies losses ack_losses reorders
+  let run variants gateways topologies losses ack_losses reorders
       flap_periods cbr_shares rtos rrr_levels asym_ratios handover_periods
       seed_count duration flows rwnd
       jobs pool cache_dir no_cache json timeout retries backoff resume seed =
-    Sim.Engine.set_default_scheduler scheduler;
     (if List.exists (fun l -> l <= 0.0 || l >= 1.0) rrr_levels then begin
        Printf.eprintf "rr-sim: --rrr-levels must all be inside (0, 1)\n";
        exit 2
@@ -1180,7 +1130,7 @@ let sweep_term =
       else if Campaign.Sweep.total_violations outcome > 0 then exit 1
   in
   Term.(
-    const run $ scheduler_arg $ variants $ gateways $ topologies $ losses
+    const run $ variants $ gateways $ topologies $ losses
     $ ack_losses $ reorders $ flap_periods $ cbr_shares $ rtos $ rrr_levels
     $ asym_ratios $ handover_periods
     $ seed_count $ duration $ flows $ rwnd $ jobs $ pool $ cache_dir
@@ -1221,8 +1171,7 @@ let all_term =
     in
     Arg.(value & opt (some (list ~sep:',' string)) None & info [ "only" ] ~docv:"NAMES" ~doc)
   in
-  let run scheduler only seed =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run only seed =
     let experiments =
       match only with
       | None -> Experiments.Registry.all
@@ -1244,7 +1193,7 @@ let all_term =
         print_string (e.Experiments.Registry.run ~seed))
       experiments
   in
-  Term.(const run $ scheduler_arg $ only $ seed_arg)
+  Term.(const run $ only $ seed_arg)
 
 let all_cmd =
   Cmd.v
@@ -1292,8 +1241,7 @@ let modelcheck_term =
     in
     Arg.(value & opt (some float) None & info [ "check" ] ~docv:"TOL" ~doc)
   in
-  let run scheduler variants losses seeds duration rrr_level check =
-    Sim.Engine.set_default_scheduler scheduler;
+  let run variants losses seeds duration rrr_level check =
     (if rrr_level <= 0.0 || rrr_level >= 1.0 then begin
        Printf.eprintf "rr-sim: --rrr-level must be inside (0, 1)\n";
        exit 2
@@ -1336,7 +1284,7 @@ let modelcheck_term =
       check
   in
   Term.(
-    const run $ scheduler_arg $ variants $ losses $ seeds $ duration
+    const run $ variants $ losses $ seeds $ duration
     $ rrr_level $ check)
 
 let modelcheck_cmd =

@@ -22,33 +22,34 @@ let () =
       dropped_segments
   in
   let topology_cell = ref None in
-  let wrap_bottleneck next =
+  let drop_burst next =
     Net.Loss.drop_list ~rules
       ~on_drop:(fun packet ->
         Format.printf "%.3f  x  segment %d dropped at the gateway@."
           (Sim.Engine.now engine)
           (Net.Packet.seq_exn packet);
         Option.iter
-          (fun topology -> Net.Dumbbell.count_drop topology packet)
+          (fun topology -> Net.Topology.count_drop topology packet)
           !topology_cell)
       next
   in
   let topology =
     Net.Dumbbell.create ~engine ~config ~rng:(Sim.Rng.create 5L)
-      ~wrap_bottleneck ()
+      ~taps:[ (Net.Dumbbell.bottleneck_link, drop_burst) ]
+      ()
   in
   topology_cell := Some topology;
   let agent, handle =
     Core.Rr.create_with_handle ~engine ~params ~flow:0
-      ~emit:(Net.Dumbbell.inject_data topology ~flow:0)
+      ~emit:(Net.Topology.inject_data topology ~flow:0)
       ()
   in
   let receiver =
     Tcp.Receiver.create ~engine ~flow:0
-      ~emit:(Net.Dumbbell.inject_ack topology ~flow:0)
+      ~emit:(Net.Topology.inject_ack topology ~flow:0)
       ()
   in
-  Net.Dumbbell.on_data topology ~flow:0 (Tcp.Receiver.deliver receiver);
+  Net.Topology.on_data topology ~flow:0 (Tcp.Receiver.deliver receiver);
 
   (* Narrate by observing the recovery state around every delivered
      ACK. *)
@@ -64,7 +65,7 @@ let () =
         view.Core.Rr.actnum view.Core.Rr.ndup view.Core.Rr.exit_point
         view.Core.Rr.further_losses
   in
-  Net.Dumbbell.on_ack topology ~flow:0 (fun packet ->
+  Net.Topology.on_ack topology ~flow:0 (fun packet ->
       agent.Tcp.Agent.deliver_ack packet;
       let now = Sim.Engine.now engine in
       (match (Core.Rr.inspect handle, !previous) with

@@ -147,11 +147,10 @@ type drop_payload = Data of { seq : int } | Ack
 
 type drop = { time : float; flow : int; payload : drop_payload }
 
-type net = Dumbbell_net of Net.Dumbbell.t | Graph_net of Net.Topology.t * graph
-
 type t = {
   engine : Sim.Engine.t;
-  net : net;
+  net : Net.Topology.t;
+  bottleneck : string option;
   results : flow_result array;
   cross_results : cross_result array;
   drop_log : drop list;
@@ -178,27 +177,77 @@ let slots = function
   | Dumbbell config -> config.Net.Dumbbell.flows
   | Graph g -> Array.length g.endpoints
 
+(* A topology resolved for one run: the graph to realize plus, as data,
+   the links each runner knob acts on. Fault sites are (label, link)
+   pairs — the label is the name the injector counts and traces under.
+   The dumbbell and a general graph differ only in these values. *)
+type plan = {
+  base : graph;
+  flaps : (string * string) list;  (* cut together by a flap schedule *)
+  steps : (string * string) list;  (* stepped by link timelines *)
+  reverse_trunk : (string * string) option;  (* re-rated by [asym] *)
+  queue_names : string list;  (* auditor and tracer order *)
+}
+
+let plan spec =
+  match spec.topology with
+  | Dumbbell config ->
+    let directions =
+      Array.of_list
+        (List.map (fun f -> f.direction) spec.flows
+        @ List.map (fun c -> c.cross_direction) spec.cross)
+    in
+    let graph, endpoints =
+      Net.Topology.dumbbell ~config ?side_delays:spec.side_delays ~directions
+        ()
+    in
+    let forward = Net.Dumbbell.bottleneck_link
+    and reverse = Net.Dumbbell.reverse_trunk_link in
+    {
+      base =
+        {
+          graph;
+          endpoints;
+          bottleneck = Some forward;
+          loss_link = Some forward;
+          ack_loss_link = Some reverse;
+          flap_links = [ forward; reverse ];
+        };
+      flaps = [ ("bottleneck", forward); ("reverse", reverse) ];
+      steps = [ ("bottleneck", forward) ];
+      reverse_trunk = Some ("reverse", reverse);
+      queue_names = Net.Dumbbell.queue_names ~flows:config.Net.Dumbbell.flows;
+    }
+  | Graph g ->
+    if spec.side_delays <> None then
+      invalid_arg "Scenario.run: side_delays requires a dumbbell topology";
+    let named = List.map (fun link -> (link, link)) g.flap_links in
+    {
+      base = g;
+      flaps = named;
+      steps = named;
+      reverse_trunk = None;
+      queue_names = List.map fst g.graph.Net.Topology.links;
+    }
+
 let run spec =
   if List.length spec.flows + List.length spec.cross <> slots spec.topology then
     invalid_arg
       "Scenario.run: flow + cross-traffic specs do not match topology width";
-  (match spec.topology with
-  | Graph g ->
-    if spec.side_delays <> None then
-      invalid_arg "Scenario.run: side_delays requires a dumbbell topology";
-    if
-      (spec.uniform_loss > 0.0 || spec.forced_drops <> []
-      || not (Faults.Spec.is_none spec.faults))
-      && g.loss_link = None
-    then
-      invalid_arg
-        "Scenario.run: graph topology needs a loss_link for loss/fault \
-         injection";
-    if spec.ack_loss > 0.0 && g.ack_loss_link = None then
-      invalid_arg "Scenario.run: graph topology needs an ack_loss_link";
-    if spec.monitor_queue <> None && g.bottleneck = None then
-      invalid_arg "Scenario.run: graph topology needs a bottleneck to monitor"
-  | Dumbbell _ -> ());
+  let plan = plan spec in
+  let g = plan.base in
+  if
+    (spec.uniform_loss > 0.0 || spec.forced_drops <> []
+    || not (Faults.Spec.is_none spec.faults))
+    && g.loss_link = None
+  then
+    invalid_arg
+      "Scenario.run: graph topology needs a loss_link for loss/fault \
+       injection";
+  if spec.ack_loss > 0.0 && g.ack_loss_link = None then
+    invalid_arg "Scenario.run: graph topology needs an ack_loss_link";
+  if spec.monitor_queue <> None && g.bottleneck = None then
+    invalid_arg "Scenario.run: graph topology needs a bottleneck to monitor";
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create spec.seed in
   (* Fault streams are split off only when faults are enabled, so a
@@ -245,10 +294,7 @@ let run spec =
      route the callbacks through a cell. *)
   let net_cell = ref None in
   let injected_drop packet =
-    (match !net_cell with
-    | Some (Dumbbell_net topology) -> Net.Dumbbell.count_drop topology packet
-    | Some (Graph_net (topology, _)) -> Net.Topology.count_drop topology packet
-    | None -> ());
+    Option.iter (fun net -> Net.Topology.count_drop net packet) !net_cell;
     log_drop packet
   in
   (* Fault wrappers sit innermost (right at the trunk queue), loss
@@ -269,7 +315,7 @@ let run spec =
       | None -> next)
     | _ -> next
   in
-  let wrap_bottleneck next =
+  let tap_forward next =
     let next =
       match fault_streams with
       | Some (_, forward, _) ->
@@ -286,7 +332,7 @@ let run spec =
       Net.Loss.drop_list ~rules:spec.forced_drops ~on_drop:injected_drop next
     else next
   in
-  let wrap_reverse next =
+  let tap_reverse next =
     let next =
       match fault_streams with
       | Some (_, _, reverse) when spec.faults.Faults.Spec.reverse ->
@@ -298,56 +344,24 @@ let run spec =
         ~data_only:false ~on_drop:injected_drop next
     else next
   in
+  (* Data-path wraps before ACK-path wraps: the loss streams split off
+     [rng] in this order. *)
+  let taps =
+    (match g.loss_link with
+    | Some link -> [ (link, tap_forward) ]
+    | None -> [])
+    @
+    match g.ack_loss_link with
+    | Some link -> [ (link, tap_reverse) ]
+    | None -> []
+  in
   let net =
-    match spec.topology with
-    | Dumbbell config ->
-      let directions =
-        Array.of_list
-          (List.map (fun f -> f.direction) spec.flows
-          @ List.map (fun c -> c.cross_direction) spec.cross)
-      in
-      Dumbbell_net
-        (Net.Dumbbell.create ~engine ~config ~rng ~wrap_bottleneck
-           ~wrap_reverse ~on_drop:log_drop ?side_delays:spec.side_delays
-           ~directions ())
-    | Graph g ->
-      (* Tap construction order mirrors the dumbbell path — data-path
-         wraps before ACK-path wraps — so the loss streams split off
-         [rng] in the same sequence either way. *)
-      let taps =
-        (match g.loss_link with
-        | Some link -> [ (link, wrap_bottleneck) ]
-        | None -> [])
-        @
-        match g.ack_loss_link with
-        | Some link -> [ (link, wrap_reverse) ]
-        | None -> []
-      in
-      Graph_net
-        ( Net.Topology.create ~engine ~spec:g.graph ~rng ~taps
-            ~on_drop:log_drop ~flows:g.endpoints (),
-          g )
+    Net.Topology.create ~engine ~spec:g.graph ~rng ~taps ~on_drop:log_drop
+      ~flows:g.endpoints ()
   in
   net_cell := Some net;
-  let inject_data ~flow packet =
-    match net with
-    | Dumbbell_net topology -> Net.Dumbbell.inject_data topology ~flow packet
-    | Graph_net (topology, _) -> Net.Topology.inject_data topology ~flow packet
-  in
-  let inject_ack ~flow packet =
-    match net with
-    | Dumbbell_net topology -> Net.Dumbbell.inject_ack topology ~flow packet
-    | Graph_net (topology, _) -> Net.Topology.inject_ack topology ~flow packet
-  in
-  let on_data ~flow handler =
-    match net with
-    | Dumbbell_net topology -> Net.Dumbbell.on_data topology ~flow handler
-    | Graph_net (topology, _) -> Net.Topology.on_data topology ~flow handler
-  in
-  let on_ack ~flow handler =
-    match net with
-    | Dumbbell_net topology -> Net.Dumbbell.on_ack topology ~flow handler
-    | Graph_net (topology, _) -> Net.Topology.on_ack topology ~flow handler
+  let sites =
+    List.map (fun (label, link) -> (label, Net.Topology.link net link))
   in
   (* A flap models an outage of the physical trunk: on the dumbbell both
      directions cut together, under the same schedule; on a graph the
@@ -358,50 +372,27 @@ let run spec =
       Faults.Spec.flap_schedule spec.faults ~rng:flap_rng ~until:spec.duration
     with
     | None -> ()
-    | Some schedule -> (
+    | Some schedule ->
+      if plan.flaps = [] then
+        invalid_arg "Scenario.run: graph topology needs flap_links to flap";
       let policy = spec.faults.Faults.Spec.flap_policy in
-      match net with
-      | Dumbbell_net topology ->
-        Faults.Injector.flap_link inj ~name:"bottleneck" ~policy
-          ~on_drop:injected_drop
-          (Net.Dumbbell.bottleneck_link topology)
-          schedule;
-        Faults.Injector.flap_link inj ~name:"reverse" ~policy
-          ~on_drop:injected_drop
-          (Net.Dumbbell.reverse_trunk_link topology)
-          schedule
-      | Graph_net (topology, g) ->
-        if g.flap_links = [] then
-          invalid_arg "Scenario.run: graph topology needs flap_links to flap";
-        List.iter
-          (fun name ->
-            Faults.Injector.flap_link inj ~name ~policy
-              ~on_drop:injected_drop
-              (Net.Topology.link topology name)
-              schedule)
-          g.flap_links))
+      List.iter
+        (fun (name, link) ->
+          Faults.Injector.flap_link inj ~name ~policy ~on_drop:injected_drop
+            link schedule)
+        (sites plan.flaps))
   | _ -> ());
-  (* Time-varying link conditions. Targets mirror the flap convention:
-     the dumbbell's forward trunk, or the graph spec's [flap_links].
-     Each vary_link is applied before any flap_link it composes with
-     (handover), so a restore coinciding with a rate step restarts
-     service at the new rate. *)
+  (* Time-varying link conditions. Targets are the dumbbell's forward
+     trunk, or the graph spec's [flap_links]. Each vary_link is applied
+     before any flap_link it composes with (handover), so a restore
+     coinciding with a rate step restarts service at the new rate. *)
   (match injector with
   | Some inj
     when link_schedule <> None || Faults.Spec.has_timeline spec.faults ->
-    let targets =
-      match net with
-      | Dumbbell_net topology ->
-        [ ("bottleneck", Net.Dumbbell.bottleneck_link topology) ]
-      | Graph_net (topology, g) ->
-        if g.flap_links = [] then
-          invalid_arg
-            "Scenario.run: graph topology needs flap_links for link \
-             timelines";
-        List.map
-          (fun name -> (name, Net.Topology.link topology name))
-          g.flap_links
-    in
+    if plan.steps = [] then
+      invalid_arg
+        "Scenario.run: graph topology needs flap_links for link timelines";
+    let targets = sites plan.steps in
     Option.iter
       (fun timeline ->
         List.iter
@@ -438,14 +429,14 @@ let run spec =
     | None -> ());
     (match spec.faults.Faults.Spec.asym with
     | Some ratio -> (
-      match net with
-      | Dumbbell_net topology ->
-        let forward = Net.Dumbbell.bottleneck_link topology in
-        let reverse = Net.Dumbbell.reverse_trunk_link topology in
+      match (plan.reverse_trunk, g.bottleneck) with
+      | Some (name, reverse), Some forward ->
+        let forward = Net.Topology.link net forward in
         (* One step at t = 0 rather than a direct set_rate at setup, so
            the change is evented and traced like any other timeline
            step. *)
-        Faults.Injector.vary_link inj ~name:"reverse" reverse
+        Faults.Injector.vary_link inj ~name
+          (Net.Topology.link net reverse)
           (Faults.Timeline.of_steps
              [
                {
@@ -454,8 +445,7 @@ let run spec =
                  delay = None;
                };
              ])
-      | Graph_net _ ->
-        invalid_arg "Scenario.run: asym requires a dumbbell topology")
+      | _ -> invalid_arg "Scenario.run: asym requires a dumbbell topology")
     | None -> ())
   | _ -> ());
   (* [audit_sample = 0] turns auditing off entirely — the clean-run
@@ -477,18 +467,14 @@ let run spec =
       (fun out -> Audit.Trace.create ~format:spec.trace_format ~out ())
       spec.trace_out
   in
-  let net_queues =
-    match net with
-    | Dumbbell_net topology -> Net.Dumbbell.queues topology
-    | Graph_net (topology, _) -> Net.Topology.queues topology
-  in
   List.iter
-    (fun (name, queue) ->
+    (fun name ->
+      let queue = Net.Topology.queue net name in
       if audit_on then Audit.Auditor.attach_queue auditor ~name queue;
       Option.iter
         (fun tr -> Audit.Trace.attach_queue tr ~engine ~name queue)
         tracer)
-    net_queues;
+    plan.queue_names;
   Option.iter
     (fun tr ->
       Option.iter (fun inj -> Audit.Trace.attach_injector tr inj) injector)
@@ -496,18 +482,18 @@ let run spec =
   let make_flow flow_id flow_spec =
     let ({ agent; rr_handle } : built) =
       flow_spec.make ~engine ~params:spec.params ~flow:flow_id
-        ~emit:(fun packet -> inject_data ~flow:flow_id packet)
+        ~emit:(fun packet -> Net.Topology.inject_data net ~flow:flow_id packet)
         ()
     in
     let receiver =
       Tcp.Receiver.create ~engine ~flow:flow_id
-        ~emit:(fun packet -> inject_ack ~flow:flow_id packet)
+        ~emit:(fun packet -> Net.Topology.inject_ack net ~flow:flow_id packet)
         ~sack:agent.Tcp.Agent.wants_sack
         ~ack_size:spec.params.Tcp.Params.ack_size
         ~delayed_ack:spec.delayed_ack ()
     in
-    on_data ~flow:flow_id (Tcp.Receiver.deliver receiver);
-    on_ack ~flow:flow_id agent.Tcp.Agent.deliver_ack;
+    Net.Topology.on_data net ~flow:flow_id (Tcp.Receiver.deliver receiver);
+    Net.Topology.on_ack net ~flow:flow_id agent.Tcp.Agent.deliver_ack;
     let trace = Stats.Flow_trace.attach agent in
     if audit_on then
       Audit.Auditor.attach_sender auditor ?rr:rr_handle
@@ -567,11 +553,12 @@ let run spec =
                ~rate_bps:cross.rate_bps ~packet_bytes:cross.packet_bytes
                ~at:cross.cross_start
                ~until:(Option.value cross.cross_until ~default:spec.duration)
-               ~emit:(fun packet -> inject_data ~flow:cross_flow packet)
+               ~emit:(fun packet ->
+                 Net.Topology.inject_data net ~flow:cross_flow packet)
                ()
            in
            let result = { cross; cross_flow; source; received = 0 } in
-           on_data ~flow:cross_flow (fun _ ->
+           Net.Topology.on_data net ~flow:cross_flow (fun _ ->
                result.received <- result.received + 1);
            result)
          spec.cross)
@@ -579,12 +566,7 @@ let run spec =
   let queue_occupancy =
     Option.map
       (fun interval ->
-        let queue =
-          match net with
-          | Dumbbell_net topology -> Net.Dumbbell.bottleneck_queue topology
-          | Graph_net (topology, g) ->
-            Net.Topology.queue topology (Option.get g.bottleneck)
-        in
+        let queue = Net.Topology.queue net (Option.get g.bottleneck) in
         Stats.Queue_monitor.sample ~engine
           ~probe:queue.Net.Queue_disc.length ~interval ~until:spec.duration)
       spec.monitor_queue
@@ -602,6 +584,7 @@ let run spec =
   {
     engine;
     net;
+    bottleneck = g.bottleneck;
     results;
     cross_results;
     drop_log = List.rev !drop_log;
@@ -611,18 +594,9 @@ let run spec =
     injector;
   }
 
-let drops t ~flow =
-  match t.net with
-  | Dumbbell_net topology -> Net.Dumbbell.drops_of_flow topology flow
-  | Graph_net (topology, _) -> Net.Topology.drops_of_flow topology flow
+let drops t ~flow = Net.Topology.drops_of_flow t.net flow
 
-let red_stats t =
-  match t.net with
-  | Dumbbell_net topology -> Net.Dumbbell.red_stats topology
-  | Graph_net (topology, g) -> (
-    match g.bottleneck with
-    | Some link -> Net.Topology.red_stats topology link
-    | None -> None)
+let red_stats t = Option.bind t.bottleneck (Net.Topology.red_stats t.net)
 
 let tracefile t =
   (* Merge per-flow send/ack traces and the drop log into time-ordered

@@ -95,10 +95,14 @@ type graph = {
 }
 
 (** Which network a spec builds. [Dumbbell] is the paper's Figure 4
-    (built through {!Net.Dumbbell}, so the legacy/graph backend toggle
-    applies); [Graph] realizes any {!Net.Topology.spec} directly. On a
-    [Graph] topology, [flow_spec.direction] is ignored (the endpoints
-    already orient each flow) and [side_delays] must be [None]. *)
+    ({!Net.Topology.dumbbell}, oriented by each flow's [direction]);
+    [Graph] realizes any {!Net.Topology.spec} directly. Both run on the
+    same {!Net.Topology} path: the dumbbell only supplies its knob
+    links — losses tap its two trunk entries, flaps cut both trunks,
+    timelines step the forward trunk, [asym] re-rates the reverse trunk
+    — and its queue order. On a [Graph] topology,
+    [flow_spec.direction] is ignored (the endpoints already orient each
+    flow) and [side_delays] must be [None]. *)
 type topology = Dumbbell of Net.Dumbbell.config | Graph of graph
 
 (** [dumbbell config] is the paper's topology as a spec field. *)
@@ -225,13 +229,12 @@ type drop_payload = Data of { seq : int } | Ack
 
 type drop = { time : float; flow : int; payload : drop_payload }
 
-(** The realized network of a run: the dumbbell handle, or the graph
-    paired with its {!graph} description. *)
-type net = Dumbbell_net of Net.Dumbbell.t | Graph_net of Net.Topology.t * graph
-
 type t = {
   engine : Sim.Engine.t;
-  net : net;
+  net : Net.Topology.t;  (** the realized network *)
+  bottleneck : string option;
+      (** the link {!red_stats} reads: the dumbbell's gateway, or a
+          graph's designated [bottleneck] *)
   results : flow_result array;
   cross_results : cross_result array;  (** one per [spec.cross] entry *)
   drop_log : drop list;

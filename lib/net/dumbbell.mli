@@ -4,7 +4,13 @@
     return over a symmetric reverse path. Congestion is engineered at
     R1's outbound (forward bottleneck) queue, which is the gateway
     discipline under test; all other queues are generously provisioned
-    drop-tails. *)
+    drop-tails.
+
+    The dumbbell is a {!Topology} graph ({!Topology.dumbbell}); this
+    module keeps only what is specific to it: its parameters, the names
+    of its two trunk links and the order its queues are reported in.
+    Traffic, delivery handlers, the drop ledger and link/queue lookup
+    are {!Topology}'s API on the value {!create} returns. *)
 
 type gateway = Dumbbell_config.gateway =
   | Droptail of { capacity : int }
@@ -34,110 +40,45 @@ type config = Dumbbell_config.t = {
     8-packet drop-tail gateway. *)
 val paper_config : flows:int -> config
 
-(** Which realization backs {!create}. [Graph] (the default) builds the
-    dumbbell as a {!Topology} graph; [Legacy_closures] keeps the
-    original hand-wired closure web. Both produce byte-identical runs
-    (proven by the [test_topology_diff] suite); the legacy backend
-    exists only as the reference for that proof and will be removed
-    once it has served a release. *)
-type backend = Graph | Legacy_closures
+(** The forward trunk R1→R2, link ["gateway"]: its queue is the gateway
+    discipline under test, and its entry the paper's loss-injection
+    point. *)
+val bottleneck_link : string
 
-(** [set_default_backend b] selects the backend used by subsequent
-    {!create} calls, in the mold of
-    {!Sim.Engine.set_default_scheduler}. *)
-val set_default_backend : backend -> unit
+(** The reverse trunk R2→R1, link ["reverse_gateway"], carrying ACKs
+    (and [Backward] flows' data); its entry is the ACK-loss tap point of
+    the §2.3 experiments. An outage of the physical trunk cuts both
+    this and {!bottleneck_link}. *)
+val reverse_trunk_link : string
 
-val default_backend : unit -> backend
+(** [queue_names ~flows] names every queue of a [flows]-wide dumbbell in
+    reporting order — the gateway under test first, then the reverse
+    gateway and the per-flow access/exit buffers — so auditors and
+    tracers subscribe to them in a stable order. *)
+val queue_names : flows:int -> string list
 
-type t
+(** [create ~engine ~config ~rng ?taps ?on_drop ?side_delays
+    ?directions ()] realizes the dumbbell. [taps] interposes
+    {!Topology.wrap} functions on the named links (compose wraps from
+    {!Loss}); any link name from {!Topology.dumbbell} works. [rng] seeds
+    the RED gateway when one is configured. [on_drop] observes every
+    queue drop in addition to the per-flow ledger. [side_delays]
+    overrides [config.side_delay] per flow (applied to all four of that
+    flow's access links), giving flows heterogeneous RTTs; its length
+    must be [config.flows]. [directions] assigns each flow a
+    {!direction} (default all [Forward]); a [Backward] flow's data rides
+    the reverse trunk and its ACKs the forward trunk, so two-way
+    experiments share queues exactly as in the paper's [22].
 
-(** [create ~engine ~config ~rng ?taps ?on_drop ()] builds the
-    topology. [taps] interposes {!Topology.wrap} functions on the named
-    links — the bottleneck entry at R1 is link ["gateway"] (the paper's
-    loss-injection point; compose wraps from {!Loss}) and the ACK-path
-    entry at R2 is ["reverse_gateway"] (the §2.3 ACK-loss experiments);
-    any other link name from {!Topology.dumbbell} works too. [rng]
-    seeds the RED gateway when one is configured. [on_drop] observes
-    every queue drop in the topology (in addition to the per-flow
-    ledger). [side_delays] overrides [config.side_delay] per flow
-    (applied to all four of that flow's access links), giving flows
-    heterogeneous RTTs; its length must be [config.flows]. [directions]
-    assigns each flow a {!direction} (default all [Forward]); a
-    [Backward] flow's [inject_data] rides the reverse trunk and its
-    [inject_ack] the forward trunk, so two-way experiments share queues
-    exactly as in the paper's [22].
-
-    [wrap_bottleneck] and [wrap_reverse] are deprecated shims for
-    [taps] on ["gateway"] / ["reverse_gateway"], kept for one release;
-    they are applied before any explicit [taps], preserving the
-    historical wrap-construction order. Naming a link both ways raises.
-
-    @raise Invalid_argument on array-length mismatches, [flows < 1], or
-    (on the [Legacy_closures] backend) a non-empty [taps]. *)
+    @raise Invalid_argument on array-length mismatches or
+    [flows < 1]. *)
 val create :
   engine:Sim.Engine.t ->
   config:config ->
   rng:Sim.Rng.t ->
-  ?wrap_bottleneck:((Packet.t -> unit) -> Packet.t -> unit) ->
-  ?wrap_reverse:((Packet.t -> unit) -> Packet.t -> unit) ->
   ?taps:(string * Topology.wrap) list ->
   ?on_drop:(Packet.t -> unit) ->
   ?side_delays:float array ->
   ?directions:direction array ->
   unit ->
-  t
-
-(** [topology t] is the underlying graph when [t] was built by the
-    [Graph] backend — the attachment point for capabilities the legacy
-    surface never had (taps or faults on arbitrary links). *)
-val topology : t -> Topology.t option
-
-(** [inject_data t ~flow packet] is sender [flow] putting a packet on
-    its access link. *)
-val inject_data : t -> flow:int -> Packet.t -> unit
-
-(** [inject_ack t ~flow packet] is receiver [flow] sending an ACK back. *)
-val inject_ack : t -> flow:int -> Packet.t -> unit
-
-(** [on_data t ~flow handler] registers the receiver-side delivery
-    callback for [flow]. *)
-val on_data : t -> flow:int -> (Packet.t -> unit) -> unit
-
-(** [on_ack t ~flow handler] registers the sender-side ACK delivery
-    callback for [flow]. *)
-val on_ack : t -> flow:int -> (Packet.t -> unit) -> unit
-
-(** [bottleneck_queue t] is the gateway discipline under test. *)
-val bottleneck_queue : t -> Queue_disc.t
-
-(** [bottleneck_link t] is the forward trunk link R1→R2 (the link that
-    serves the gateway queue) — the attachment point for link-level
-    fault injection ({!Link.set_up}). *)
-val bottleneck_link : t -> Link.t
-
-(** [reverse_trunk_link t] is the reverse trunk R2→R1 carrying ACKs
-    (and [Backward] flows' data). An outage of the physical trunk cuts
-    both this and {!bottleneck_link}. *)
-val reverse_trunk_link : t -> Link.t
-
-(** [queues t] names every queue discipline in the topology — the
-    gateway under test first ("gateway"), then the reverse gateway and
-    the per-flow access/exit buffers — so auditors and tracers can
-    {!Queue_disc.subscribe} to all of them. *)
-val queues : t -> (string * Queue_disc.t) list
-
-(** [red_stats t] classifies RED drops when the gateway is RED. *)
-val red_stats : t -> Red.drop_stats option
-
-(** [count_drop t packet] records a drop of [packet] against its flow in
-    the topology-wide ledger. Queue drops are recorded automatically;
-    pass this as [on_drop] to {!Loss} wrappers so injected losses land
-    in the same ledger. *)
-val count_drop : t -> Packet.t -> unit
-
-(** [drops_of_flow t flow] is the number of that flow's packets dropped
-    anywhere in the topology (including injected losses). *)
-val drops_of_flow : t -> int -> int
-
-(** [total_drops t] sums {!drops_of_flow} over all flows. *)
-val total_drops : t -> int
+  Topology.t

@@ -1,10 +1,10 @@
 (** Shared parameter record for dumbbell-shaped topologies.
 
-    Extracted from {!Dumbbell} so both the legacy wrapper and the
-    {!Topology} builders (which express the dumbbell, the parking lot
-    and the fat tree in terms of the same link-parameter vocabulary)
-    can consume it without a dependency cycle. {!Dumbbell} re-exports
-    these types under their historical names. *)
+    Kept apart from {!Dumbbell} so the {!Topology} builders (which
+    express the dumbbell, the parking lot and the fat tree in terms of
+    the same link-parameter vocabulary) can consume it without a
+    dependency cycle. {!Dumbbell} re-exports these types under their
+    historical names. *)
 
 (** The gateway discipline under test at each bottleneck entry. *)
 type gateway =

@@ -403,10 +403,10 @@ let dumbbell ~(config : Dumbbell_config.t) ?side_delays ?directions () =
       queue = droptail capacity;
     }
   in
-  (* Realization order mirrors the legacy builder's queue-creation
-     order — exits, gateway (the only possible RNG consumer), reverse
-     gateway, accesses — so RED draws the same stream. Link names are
-     the legacy queue names. *)
+  (* Realization order — exits, gateway (the only possible RNG
+     consumer), reverse gateway, accesses — is part of the
+     reproducibility contract: it fixes where RED draws its stream.
+     Reports list the queues in [Dumbbell.queue_names] order instead. *)
   let links =
     per_flow (fun i ->
         ( Printf.sprintf "exit_fwd%d" i,

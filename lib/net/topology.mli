@@ -6,8 +6,9 @@
     a queue discipline), per-node static routing tables, and named
     attachment points — flows attach to a (source, destination) node
     pair, and loss/fault wrappers attach to any link by name
-    ({!create}'s [taps]). {!Dumbbell} is re-expressed as a thin wrapper
-    over this module; the {!parking_lot} and {!fat_tree} builders cover
+    ({!create}'s [taps]). The paper's dumbbell is the {!dumbbell}
+    builder ({!Dumbbell} adds only its trunk names and queue order);
+    the {!parking_lot} and {!fat_tree} builders cover
     the multi-bottleneck paths the related work needs.
 
     Scale: a topology holds per-flow state in flat arrays (endpoints,
@@ -56,8 +57,8 @@ type spec = {
 type endpoint = { src : string; dst : string }
 
 (** A tap interposes on every packet entering a link (injected there or
-    forwarded into it), exactly like the old [wrap_bottleneck]: it
-    either calls the continuation or swallows the packet. *)
+    forwarded into it): it either calls the continuation or swallows the
+    packet. *)
 type wrap = (Packet.t -> unit) -> Packet.t -> unit
 
 (** [validate spec ~flows] checks well-formedness and raises
@@ -164,13 +165,12 @@ val total_drops : t -> int
 
 (** [dumbbell ~config ?side_delays ?directions ()] is the paper's
     Figure 4 as a graph: senders [s<i>] and receivers [k<i>] joined by
-    gateways [r1], [r2], with link names matching the legacy queue
-    names ([gateway], [reverse_gateway], [access_fwd<i>],
-    [access_rev<i>], [exit_fwd<i>], [exit_rev<i>]). The returned
-    endpoints honour [directions] (a [Backward] flow's data rides the
-    reverse trunk). Array lengths must equal [config.flows]; violations
-    raise [Invalid_argument] with the legacy [Dumbbell.create] messages
-    so existing callers keep their contract. *)
+    gateways [r1], [r2], with links [gateway], [reverse_gateway],
+    [access_fwd<i>], [access_rev<i>], [exit_fwd<i>] and [exit_rev<i>].
+    The returned endpoints honour [directions] (a [Backward] flow's data
+    rides the reverse trunk). Array lengths must equal [config.flows];
+    violations raise [Invalid_argument] with [Dumbbell.create: ...]
+    messages, the entry point most callers use. *)
 val dumbbell :
   config:Dumbbell_config.t ->
   ?side_delays:float array ->

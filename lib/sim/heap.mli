@@ -1,4 +1,5 @@
-(** Growable binary min-heap, the storage backing the event queue.
+(** Growable binary min-heap: the simple reference priority queue that
+    the engine's calendar queue is tested against.
 
     Elements are ordered by a user-supplied priority of type [float] and,
     within equal priorities, by insertion order (stable), which is what a

@@ -1,97 +1,98 @@
-(* Calendar-queue tests: the Heap contract (min ordering, FIFO ties,
-   clear) plus resize/width-adaptation stress and a randomized oracle
-   check that Calqueue and Heap agree operation-for-operation. *)
+(* Calendar-queue tests, driven through the engine that owns the queue:
+   the ordering contract (min first, FIFO ties, a drained engine reused
+   like a fresh one) plus resize/width-adaptation stress and a
+   randomized check against the generic [Heap] as reference model,
+   push for push and pop for pop. *)
 
 let check = Alcotest.(check int)
 
-let pop_all queue =
-  let rec drain acc =
-    match Sim.Calqueue.pop queue with
-    | None -> List.rev acc
-    | Some (priority, value) -> drain ((priority, value) :: acc)
-  in
-  drain []
+(* Schedule [(time, value)] pairs, run the engine dry and return what
+   fired, in firing order, as [(time, value)]. *)
+let fire_all ?(engine = Sim.Engine.create ()) events =
+  let fired = ref [] in
+  List.iter
+    (fun (time, value) ->
+      Sim.Engine.schedule_unit_at engine ~time (fun () ->
+          fired := (Sim.Engine.now engine, value) :: !fired))
+    events;
+  Sim.Engine.run engine;
+  List.rev !fired
 
 let test_empty () =
-  let queue : int Sim.Calqueue.t = Sim.Calqueue.create () in
-  Alcotest.(check bool) "is_empty" true (Sim.Calqueue.is_empty queue);
-  check "length" 0 (Sim.Calqueue.length queue);
-  Alcotest.(check bool) "peek none" true (Sim.Calqueue.peek queue = None);
-  Alcotest.(check bool) "pop none" true (Sim.Calqueue.pop queue = None)
+  let engine = Sim.Engine.create () in
+  check "pending" 0 (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Sim.Engine.now engine)
 
 let test_ordering () =
-  let queue = Sim.Calqueue.create () in
-  List.iter
-    (fun priority -> Sim.Calqueue.push queue ~priority (int_of_float priority))
-    [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  let order = List.map snd (pop_all queue) in
+  let order =
+    List.map snd
+      (fire_all
+         (List.map
+            (fun time -> (time, int_of_float time))
+            [ 5.0; 1.0; 4.0; 2.0; 3.0 ]))
+  in
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] order
 
 let test_stability () =
-  let queue = Sim.Calqueue.create () in
-  List.iter (fun v -> Sim.Calqueue.push queue ~priority:1.0 v) [ 10; 20; 30; 40 ];
   Alcotest.(check (list int))
     "fifo on ties" [ 10; 20; 30; 40 ]
-    (List.map snd (pop_all queue))
+    (List.map snd (fire_all (List.map (fun v -> (1.0, v)) [ 10; 20; 30; 40 ])))
 
 let test_mixed_stability () =
-  let queue = Sim.Calqueue.create () in
-  Sim.Calqueue.push queue ~priority:2.0 1;
-  Sim.Calqueue.push queue ~priority:1.0 2;
-  Sim.Calqueue.push queue ~priority:2.0 3;
-  Sim.Calqueue.push queue ~priority:1.0 4;
   Alcotest.(check (list int))
     "ties stay fifo among equals" [ 2; 4; 1; 3 ]
-    (List.map snd (pop_all queue))
+    (List.map snd (fire_all [ (2.0, 1); (1.0, 2); (2.0, 3); (1.0, 4) ]))
 
+(* Looking at the minimum without taking it: [run_until] short of the
+   earliest event must leave it queued. *)
 let test_peek_does_not_remove () =
-  let queue = Sim.Calqueue.create () in
-  Sim.Calqueue.push queue ~priority:1.0 7;
-  (match Sim.Calqueue.peek queue with
-  | Some (_, 7) -> ()
-  | Some _ | None -> Alcotest.fail "peek");
-  check "still there" 1 (Sim.Calqueue.length queue)
+  let engine = Sim.Engine.create () in
+  let fired = ref false in
+  Sim.Engine.schedule_unit_at engine ~time:1.0 (fun () -> fired := true);
+  Sim.Engine.run_until engine ~time:0.5;
+  Alcotest.(check bool) "not fired" false !fired;
+  check "still there" 1 (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  Alcotest.(check bool) "fires later" true !fired
 
 let test_clear_resets_tie_state () =
-  (* A cleared queue must order ties exactly like a fresh one. *)
-  let fresh = Sim.Calqueue.create () in
-  let reused = Sim.Calqueue.create () in
-  List.iter (fun v -> Sim.Calqueue.push reused ~priority:3.0 v) [ 1; 2; 3 ];
-  ignore (Sim.Calqueue.pop reused);
-  Sim.Calqueue.clear reused;
-  check "cleared" 0 (Sim.Calqueue.length reused);
-  List.iter
-    (fun queue ->
-      Sim.Calqueue.push queue ~priority:1.0 10;
-      Sim.Calqueue.push queue ~priority:1.0 20;
-      Sim.Calqueue.push queue ~priority:0.5 30)
-    [ fresh; reused ];
+  (* Running dry is the engine's clear: a drained engine must order
+     ties exactly like a fresh one. *)
+  let reused = Sim.Engine.create () in
+  ignore (fire_all ~engine:reused [ (3.0, 1); (3.0, 2); (3.0, 3) ]);
+  check "drained" 0 (Sim.Engine.pending reused);
+  let events = [ (4.0, 10); (4.0, 20); (3.5, 30) ] in
   Alcotest.(check (list (pair (float 1e-9) int)))
-    "same as fresh" (pop_all fresh) (pop_all reused)
+    "same as fresh" (fire_all events)
+    (fire_all ~engine:reused events)
 
-(* Push enough to force several grow resizes (and width re-estimation),
-   then drain through the shrink path. *)
+(* Schedule enough to force several grow resizes (and width
+   re-estimation), then drain through the shrink path. *)
 let test_resize_stress () =
-  let queue = Sim.Calqueue.create () in
+  let engine = Sim.Engine.create () in
   let n = 2000 in
-  for i = 0 to n - 1 do
-    Sim.Calqueue.push queue ~priority:(float_of_int ((i * 7919) mod n) /. 100.0) i
-  done;
-  check "all stored" n (Sim.Calqueue.length queue);
-  let out = List.map fst (pop_all queue) in
+  let fired = ref [] in
+  List.iter
+    (fun time ->
+      Sim.Engine.schedule_unit_at engine ~time (fun () ->
+          fired := Sim.Engine.now engine :: !fired))
+    (List.init n (fun i -> float_of_int ((i * 7919) mod n) /. 100.0));
+  check "all stored" n (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  let out = List.rev !fired in
+  check "all fired" n (List.length out);
   Alcotest.(check bool) "sorted drain" true (out = List.sort compare out);
-  check "drained" 0 (Sim.Calqueue.length queue)
+  check "drained" 0 (Sim.Engine.pending engine)
 
 (* A dense cluster plus far-future outliers exercises the direct-search
    fallback (a full calendar round finds no event in the current year). *)
 let test_sparse_far_future () =
-  let queue = Sim.Calqueue.create () in
-  Sim.Calqueue.push queue ~priority:1e6 1;
-  Sim.Calqueue.push queue ~priority:2e6 2;
-  for i = 0 to 63 do
-    Sim.Calqueue.push queue ~priority:(float_of_int i *. 0.001) (100 + i)
-  done;
-  let out = pop_all queue in
+  let out =
+    fire_all
+      ([ (1e6, 1); (2e6, 2) ]
+      @ List.init 64 (fun i -> (float_of_int i *. 0.001, 100 + i)))
+  in
   Alcotest.(check int) "count" 66 (List.length out);
   let times = List.map fst out in
   Alcotest.(check bool) "sorted" true (times = List.sort compare times);
@@ -99,13 +100,10 @@ let test_sparse_far_future () =
     "outliers last" [ 1; 2 ]
     (List.filteri (fun i _ -> i >= 64) (List.map snd out))
 
-let test_invalid_width () =
-  Alcotest.check_raises "width" (Invalid_argument "Calqueue.create: width <= 0")
-    (fun () -> ignore (Sim.Calqueue.create ~width:0.0 () : int Sim.Calqueue.t))
-
 (* Oracle property: an arbitrary interleaving of pushes and pops gives
-   exactly the Heap's answers, ties included (times quantized to force
-   plenty of collisions). *)
+   exactly the Heap's answers, ties included (offsets quantized to force
+   plenty of collisions). A push is an event [k/8] s past the current
+   clock; a pop is a [run] that the popped event itself stops. *)
 let prop_matches_heap =
   QCheck2.Test.make ~name:"calqueue matches heap on random workloads" ~count:300
     QCheck2.Gen.(
@@ -117,25 +115,40 @@ let prop_matches_heap =
            ]))
     (fun ops ->
       let heap = Sim.Heap.create () in
-      let cal = Sim.Calqueue.create () in
+      let engine = Sim.Engine.create () in
+      let popped = ref None in
+      let pop_engine () =
+        popped := None;
+        Sim.Engine.run engine;
+        !popped
+      in
       let i = ref 0 in
+      let heap_now = ref 0.0 in
+      let pop_heap () =
+        let entry = Sim.Heap.pop heap in
+        Option.iter (fun (time, _) -> heap_now := time) entry;
+        entry
+      in
       List.for_all
         (fun op ->
           match op with
-          | `Push priority ->
-            Sim.Heap.push heap ~priority !i;
-            Sim.Calqueue.push cal ~priority !i;
+          | `Push delay ->
+            let id = !i in
+            Sim.Heap.push heap ~priority:(!heap_now +. delay) id;
+            Sim.Engine.schedule_unit engine ~delay (fun () ->
+                popped := Some (Sim.Engine.now engine, id);
+                Sim.Engine.stop engine);
             incr i;
-            Sim.Heap.length heap = Sim.Calqueue.length cal
-          | `Pop -> Sim.Heap.pop heap = Sim.Calqueue.pop cal)
+            Sim.Heap.length heap = Sim.Engine.pending engine
+          | `Pop -> pop_heap () = pop_engine ())
         ops
-      && pop_all cal
-         = (let rec drain acc =
-              match Sim.Heap.pop heap with
-              | None -> List.rev acc
-              | Some entry -> drain (entry :: acc)
-            in
-            drain []))
+      &&
+      let rec drain () =
+        match (pop_heap (), pop_engine ()) with
+        | None, None -> true
+        | a, b -> a = b && drain ()
+      in
+      drain ())
 
 let suite =
   [
@@ -150,7 +163,6 @@ let suite =
           test_clear_resets_tie_state;
         Alcotest.test_case "resize stress" `Quick test_resize_stress;
         Alcotest.test_case "sparse far future" `Quick test_sparse_far_future;
-        Alcotest.test_case "invalid width" `Quick test_invalid_width;
         QCheck_alcotest.to_alcotest prop_matches_heap;
       ] );
   ]

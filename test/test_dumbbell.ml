@@ -1,29 +1,30 @@
 (* Dumbbell topology wiring: data reaches the right receiver, ACKs come
-   back, drops are accounted per flow, loss wrappers interpose. *)
+   back, drops are accounted per flow, loss wrappers interpose — and the
+   traced paper scenario on it stays byte-identical. *)
 
 let data ~flow seq = Net.Packet.data ~uid:seq ~flow ~seq ~size_bytes:1000 ~born:0.0
 
 let ack ~flow ackno =
   Net.Packet.ack ~uid:ackno ~flow ~ackno ~size_bytes:40 ~born:0.0 ()
 
-let build ?(flows = 2) ?wrap_bottleneck () =
+let build ?(flows = 2) ?taps () =
   let engine = Sim.Engine.create () in
   let topology =
     Net.Dumbbell.create ~engine
       ~config:(Net.Dumbbell.paper_config ~flows)
-      ~rng:(Sim.Rng.create 1L) ?wrap_bottleneck ()
+      ~rng:(Sim.Rng.create 1L) ?taps ()
   in
   (engine, topology)
 
 let test_data_path () =
   let engine, topology = build () in
   let got = ref [] in
-  Net.Dumbbell.on_data topology ~flow:0 (fun p ->
+  Net.Topology.on_data topology ~flow:0 (fun p ->
       got := (0, Net.Packet.seq_exn p) :: !got);
-  Net.Dumbbell.on_data topology ~flow:1 (fun p ->
+  Net.Topology.on_data topology ~flow:1 (fun p ->
       got := (1, Net.Packet.seq_exn p) :: !got);
-  Net.Dumbbell.inject_data topology ~flow:0 (data ~flow:0 10);
-  Net.Dumbbell.inject_data topology ~flow:1 (data ~flow:1 20);
+  Net.Topology.inject_data topology ~flow:0 (data ~flow:0 10);
+  Net.Topology.inject_data topology ~flow:1 (data ~flow:1 20);
   Sim.Engine.run engine;
   Alcotest.(check bool) "flow 0 delivered" true (List.mem (0, 10) !got);
   Alcotest.(check bool) "flow 1 delivered" true (List.mem (1, 20) !got);
@@ -32,8 +33,8 @@ let test_data_path () =
 let test_data_latency () =
   let engine, topology = build ~flows:1 () in
   let at = ref 0.0 in
-  Net.Dumbbell.on_data topology ~flow:0 (fun _ -> at := Sim.Engine.now engine);
-  Net.Dumbbell.inject_data topology ~flow:0 (data ~flow:0 1);
+  Net.Topology.on_data topology ~flow:0 (fun _ -> at := Sim.Engine.now engine);
+  Net.Topology.inject_data topology ~flow:0 (data ~flow:0 1);
   Sim.Engine.run engine;
   (* access (0.8ms tx + 1ms) + bottleneck (10ms tx + 96ms) + exit access
      (0.8ms tx + 1ms) = 109.6 ms. *)
@@ -42,51 +43,55 @@ let test_data_latency () =
 let test_ack_path () =
   let engine, topology = build () in
   let got = ref [] in
-  Net.Dumbbell.on_ack topology ~flow:1 (fun p ->
+  Net.Topology.on_ack topology ~flow:1 (fun p ->
       match Net.Packet.kind p with
       | Net.Packet.Ack { ackno; _ } -> got := ackno :: !got
       | Net.Packet.Data _ -> Alcotest.fail "data on ack path");
-  Net.Dumbbell.on_ack topology ~flow:0 (fun _ -> Alcotest.fail "wrong flow");
-  Net.Dumbbell.inject_ack topology ~flow:1 (ack ~flow:1 33);
+  Net.Topology.on_ack topology ~flow:0 (fun _ -> Alcotest.fail "wrong flow");
+  Net.Topology.inject_ack topology ~flow:1 (ack ~flow:1 33);
   Sim.Engine.run engine;
   Alcotest.(check (list int)) "ack delivered" [ 33 ] !got
 
 let test_drop_ledger () =
   let engine, topology = build ~flows:1 () in
-  Net.Dumbbell.on_data topology ~flow:0 (fun _ -> ());
+  Net.Topology.on_data topology ~flow:0 (fun _ -> ());
   (* Overflow the 8-packet bottleneck queue with a burst (access link is
      12.5x faster than the bottleneck, so the queue fills). *)
   for i = 1 to 60 do
-    Net.Dumbbell.inject_data topology ~flow:0 (data ~flow:0 i)
+    Net.Topology.inject_data topology ~flow:0 (data ~flow:0 i)
   done;
   Sim.Engine.run engine;
   Alcotest.(check bool)
-    (Printf.sprintf "drops %d recorded" (Net.Dumbbell.drops_of_flow topology 0))
+    (Printf.sprintf "drops %d recorded" (Net.Topology.drops_of_flow topology 0))
     true
-    (Net.Dumbbell.drops_of_flow topology 0 > 0);
-  Alcotest.(check int) "total = flow" (Net.Dumbbell.drops_of_flow topology 0)
-    (Net.Dumbbell.total_drops topology)
+    (Net.Topology.drops_of_flow topology 0 > 0);
+  Alcotest.(check int) "total = flow" (Net.Topology.drops_of_flow topology 0)
+    (Net.Topology.total_drops topology)
 
-let test_wrap_bottleneck () =
+let test_bottleneck_tap () =
   let seen = ref [] in
   let wrap next packet =
     seen := Net.Packet.seq_exn packet :: !seen;
     next packet
   in
-  let engine, topology = build ~flows:1 ~wrap_bottleneck:wrap () in
+  let engine, topology =
+    build ~flows:1 ~taps:[ (Net.Dumbbell.bottleneck_link, wrap) ] ()
+  in
   let delivered = ref 0 in
-  Net.Dumbbell.on_data topology ~flow:0 (fun _ -> incr delivered);
-  Net.Dumbbell.inject_data topology ~flow:0 (data ~flow:0 5);
+  Net.Topology.on_data topology ~flow:0 (fun _ -> incr delivered);
+  Net.Topology.inject_data topology ~flow:0 (data ~flow:0 5);
   Sim.Engine.run engine;
   Alcotest.(check (list int)) "wrapper saw the packet" [ 5 ] !seen;
   Alcotest.(check int) "still delivered" 1 !delivered
 
 let test_count_drop () =
   let _, topology = build ~flows:2 () in
-  Net.Dumbbell.count_drop topology (data ~flow:1 1);
-  Net.Dumbbell.count_drop topology (data ~flow:1 2);
-  Alcotest.(check int) "ledger" 2 (Net.Dumbbell.drops_of_flow topology 1);
-  Alcotest.(check int) "other flow untouched" 0 (Net.Dumbbell.drops_of_flow topology 0)
+  Net.Topology.count_drop topology (data ~flow:1 1);
+  Net.Topology.count_drop topology (data ~flow:1 2);
+  Alcotest.(check int) "ledger" 2 (Net.Topology.drops_of_flow topology 1);
+  Alcotest.(check int)
+    "other flow untouched" 0
+    (Net.Topology.drops_of_flow topology 0)
 
 let test_side_delays () =
   let engine = Sim.Engine.create () in
@@ -99,9 +104,9 @@ let test_side_delays () =
   in
   let arrivals = Array.make 2 0.0 in
   for flow = 0 to 1 do
-    Net.Dumbbell.on_data topology ~flow (fun _ ->
+    Net.Topology.on_data topology ~flow (fun _ ->
         arrivals.(flow) <- Sim.Engine.now engine);
-    Net.Dumbbell.inject_data topology ~flow (data ~flow 1)
+    Net.Topology.inject_data topology ~flow (data ~flow 1)
   done;
   Sim.Engine.run engine;
   (* Two access hops per direction: the slow flow pays 2 * 50 ms more
@@ -132,10 +137,61 @@ let test_red_gateway_exposed () =
   let topology =
     Net.Dumbbell.create ~engine ~config ~rng:(Sim.Rng.create 1L) ()
   in
+  let gateway = Net.Dumbbell.bottleneck_link in
   Alcotest.(check bool) "red stats available" true
-    (Net.Dumbbell.red_stats topology <> None);
+    (Net.Topology.red_stats topology gateway <> None);
   Alcotest.(check string) "queue kind" "red"
-    (Net.Dumbbell.bottleneck_queue topology).Net.Queue_disc.name
+    (Net.Topology.queue topology gateway).Net.Queue_disc.name
+
+(* The paper dumbbell under data and ACK loss, with the full JSONL event
+   trace (every send, ACK, recovery transition and queue event,
+   timestamped). The digest was recorded when a binary-heap scheduler
+   and a hand-wired closure dumbbell both still ran alongside the
+   calendar queue and the graph realization, and all four combinations
+   produced these exact bytes. *)
+let traced_scenario_digest = "b0f212c2d34a8a1c6ef628f7ec10080a"
+
+let traced_scenario topology =
+  let path = Filename.temp_file "rr-dumbbell" ".jsonl" in
+  let out = open_out path in
+  let spec =
+    Experiments.Scenario.make ~topology
+      ~flows:
+        [
+          Experiments.Scenario.flow Core.Variant.Rr;
+          Experiments.Scenario.flow Core.Variant.Sack;
+        ]
+      ~params:{ Tcp.Params.default with rwnd = 20 }
+      ~seed:11L ~duration:10.0 ~uniform_loss:0.02 ~ack_loss:0.01
+      ~trace_out:out ()
+  in
+  ignore (Experiments.Scenario.run spec : Experiments.Scenario.t);
+  close_out out;
+  let trace = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check bool) "trace non-trivial" true (String.length trace > 10_000);
+  Digest.to_hex (Digest.string trace)
+
+(* The engine's one scheduler reproduces the stream both schedulers
+   agreed on. *)
+let test_traced_scenario_digest () =
+  Alcotest.(check string) "event stream md5" traced_scenario_digest
+    (traced_scenario
+       (Experiments.Scenario.dumbbell (Net.Dumbbell.paper_config ~flows:2)))
+
+(* The same dumbbell handed to the runner as a general graph, with the
+   knob links named explicitly, yields the same bytes: the dumbbell case
+   of Scenario differs from a graph only in the data it supplies. *)
+let test_traced_graph_dumbbell () =
+  let config = Net.Dumbbell.paper_config ~flows:2 in
+  let spec, endpoints = Net.Topology.dumbbell ~config () in
+  let forward = Net.Dumbbell.bottleneck_link
+  and reverse = Net.Dumbbell.reverse_trunk_link in
+  Alcotest.(check string) "event stream md5" traced_scenario_digest
+    (traced_scenario
+       (Experiments.Scenario.graph ~bottleneck:forward ~loss_link:forward
+          ~ack_loss_link:reverse ~flap_links:[ forward; reverse ] ~spec
+          ~endpoints ()))
 
 let suite =
   [
@@ -145,10 +201,20 @@ let suite =
         Alcotest.test_case "data latency" `Quick test_data_latency;
         Alcotest.test_case "ack path" `Quick test_ack_path;
         Alcotest.test_case "drop ledger" `Quick test_drop_ledger;
-        Alcotest.test_case "bottleneck wrapper" `Quick test_wrap_bottleneck;
+        Alcotest.test_case "bottleneck wrapper" `Quick test_bottleneck_tap;
         Alcotest.test_case "count_drop" `Quick test_count_drop;
         Alcotest.test_case "side delays" `Quick test_side_delays;
         Alcotest.test_case "side delays validated" `Quick test_side_delays_validated;
         Alcotest.test_case "red gateway" `Quick test_red_gateway_exposed;
+      ] );
+    ( "scheduler-diff",
+      [
+        Alcotest.test_case "traced scenario byte-identical" `Quick
+          test_traced_scenario_digest;
+      ] );
+    ( "topology-diff",
+      [
+        Alcotest.test_case "traced scenario byte-identical" `Quick
+          test_traced_graph_dumbbell;
       ] );
   ]

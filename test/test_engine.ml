@@ -150,23 +150,11 @@ let test_schedule_unit_rejects_past () =
     (Invalid_argument "Engine.schedule_unit: negative delay") (fun () ->
       Sim.Engine.schedule_unit engine ~delay:(-1.0) (fun () -> ()))
 
-let test_scheduler_selection () =
-  Alcotest.(check bool) "default is calendar" true
-    (Sim.Engine.scheduler (Sim.Engine.create ()) = `Calendar);
-  Alcotest.(check bool) "explicit heap" true
-    (Sim.Engine.scheduler (Sim.Engine.create ~scheduler:`Heap ()) = `Heap);
-  let saved = Sim.Engine.default_scheduler () in
-  Fun.protect
-    ~finally:(fun () -> Sim.Engine.set_default_scheduler saved)
-    (fun () ->
-      Sim.Engine.set_default_scheduler `Heap;
-      Alcotest.(check bool) "default override" true
-        (Sim.Engine.scheduler (Sim.Engine.create ()) = `Heap))
-
 (* Differential property: a random schedule/cancel/fire workload —
    handle events, fire-and-forget events, events scheduled from inside
    running events, and cancellations — fires the identical (time, id)
-   sequence under both schedulers, equal-timestamp ties included
+   sequence on the engine's calendar queue and on a reference scheduler
+   built from the generic binary heap, equal-timestamp ties included
    (times are quantized to quarter-seconds to force many ties). *)
 let prop_schedulers_agree =
   let open QCheck2.Gen in
@@ -180,36 +168,74 @@ let prop_schedulers_agree =
         map (fun k -> `Cancel k) (int_range 0 1000);
       ]
   in
+  (* Handles are registered in [`Schedule] order, which is what a
+     [`Cancel k] indexes (mod the count so far). *)
+  let cancelled_ids ops =
+    let handle_ids = ref [||] and cancelled = ref [] in
+    List.iteri
+      (fun id op ->
+        match op with
+        | `Schedule _ -> handle_ids := Array.append !handle_ids [| id |]
+        | `Cancel k ->
+          let n = Array.length !handle_ids in
+          if n > 0 then cancelled := !handle_ids.(k mod n) :: !cancelled
+        | `Schedule_unit _ | `Nested _ -> ())
+      ops;
+    !cancelled
+  in
+  let engine_run ops =
+    let engine = Sim.Engine.create () in
+    let fired = ref [] in
+    let note id () = fired := (Sim.Engine.now engine, id) :: !fired in
+    let handles = ref [||] in
+    List.iteri
+      (fun id op ->
+        match op with
+        | `Schedule t ->
+          let handle = Sim.Engine.schedule_at engine ~time:t (note id) in
+          handles := Array.append !handles [| handle |]
+        | `Schedule_unit t ->
+          Sim.Engine.schedule_unit_at engine ~time:t (note id)
+        | `Nested (t, d) ->
+          Sim.Engine.schedule_unit_at engine ~time:t (fun () ->
+              note id ();
+              Sim.Engine.schedule_unit engine ~delay:d (note (1000 + id)))
+        | `Cancel k ->
+          let n = Array.length !handles in
+          if n > 0 then Sim.Engine.cancel engine !handles.(k mod n))
+      ops;
+    Sim.Engine.run engine;
+    (List.rev !fired, Sim.Engine.pending engine)
+  in
+  (* The reference: one heap entry per scheduled event, keyed by time
+     with the heap's FIFO tie order; cancellation is a skip list. *)
+  let reference_run ops =
+    let heap = Sim.Heap.create () in
+    let cancelled = cancelled_ids ops in
+    List.iteri
+      (fun id op ->
+        match op with
+        | `Schedule t | `Schedule_unit t ->
+          Sim.Heap.push heap ~priority:t (id, None)
+        | `Nested (t, d) -> Sim.Heap.push heap ~priority:t (id, Some d)
+        | `Cancel _ -> ())
+      ops;
+    let rec drain fired =
+      match Sim.Heap.pop heap with
+      | None -> List.rev fired
+      | Some (_, (id, _)) when id < 1000 && List.mem id cancelled -> drain fired
+      | Some (now, (id, nested)) ->
+        Option.iter
+          (fun d -> Sim.Heap.push heap ~priority:(now +. d) (1000 + id, None))
+          nested;
+        drain ((now, id) :: fired)
+    in
+    (drain [], 0)
+  in
   QCheck2.Test.make ~name:"heap and calendar schedulers fire identically"
     ~count:300
     (list_size (int_range 1 80) op)
-    (fun ops ->
-      let run scheduler =
-        let engine = Sim.Engine.create ~scheduler () in
-        let fired = ref [] in
-        let note id () = fired := (Sim.Engine.now engine, id) :: !fired in
-        let handles = ref [||] in
-        let register handle =
-          handles := Array.append !handles [| handle |]
-        in
-        List.iteri
-          (fun id op ->
-            match op with
-            | `Schedule t -> register (Sim.Engine.schedule_at engine ~time:t (note id))
-            | `Schedule_unit t ->
-              Sim.Engine.schedule_unit_at engine ~time:t (note id)
-            | `Nested (t, d) ->
-              Sim.Engine.schedule_unit_at engine ~time:t (fun () ->
-                  note id ();
-                  Sim.Engine.schedule_unit engine ~delay:d (note (1000 + id)))
-            | `Cancel k ->
-              let n = Array.length !handles in
-              if n > 0 then Sim.Engine.cancel engine !handles.(k mod n))
-          ops;
-        Sim.Engine.run engine;
-        (List.rev !fired, Sim.Engine.pending engine)
-      in
-      run `Heap = run `Calendar)
+    (fun ops -> engine_run ops = reference_run ops)
 
 let prop_random_schedule_fires_in_order =
   QCheck2.Test.make ~name:"random schedules fire in time order" ~count:300
@@ -298,7 +324,6 @@ let suite =
         Alcotest.test_case "schedule_unit" `Quick test_schedule_unit;
         Alcotest.test_case "schedule_unit rejects past" `Quick
           test_schedule_unit_rejects_past;
-        Alcotest.test_case "scheduler selection" `Quick test_scheduler_selection;
         QCheck_alcotest.to_alcotest prop_schedulers_agree;
         QCheck_alcotest.to_alcotest prop_random_schedule_fires_in_order;
       ] );

@@ -7,7 +7,7 @@
      deterministic under a fixed RNG;
    - properties: any fault spec the generator produces leaves the
      runtime auditor clean, and a faulted scenario's JSONL trace is
-     byte-identical across seeds and event schedulers. *)
+     deterministic and pinned to a recorded digest. *)
 
 let packet ?(flow = 0) ?(size = 1000) seq =
   Net.Packet.data ~uid:seq ~flow ~seq ~size_bytes:size ~born:0.0
@@ -449,43 +449,38 @@ let prop_random_faults_stay_clean =
       let t = run_faulted ~seed:(Int64.of_int seed) ~duration:3.0 spec in
       Audit.Auditor.ok t.Experiments.Scenario.auditor)
 
-let with_scheduler scheduler f =
-  let saved = Sim.Engine.default_scheduler () in
-  Sim.Engine.set_default_scheduler scheduler;
-  Fun.protect ~finally:(fun () -> Sim.Engine.set_default_scheduler saved) f
+let read_and_remove path =
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  contents
 
-let faulted_trace scheduler =
-  with_scheduler scheduler (fun () ->
-      let path = Filename.temp_file "rr-faults" ".jsonl" in
-      let out = open_out path in
-      ignore
-        (run_faulted ~trace_out:out
-           "flap:1.5+0.3,drop,reorder:0.05,jitter:0.005"
-          : Experiments.Scenario.t);
-      close_out out;
-      let ic = open_in_bin path in
-      let contents =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      Sys.remove path;
-      contents)
+let faulted_trace () =
+  let path = Filename.temp_file "rr-faults" ".jsonl" in
+  let out = open_out path in
+  ignore
+    (run_faulted ~trace_out:out "flap:1.5+0.3,drop,reorder:0.05,jitter:0.005"
+      : Experiments.Scenario.t);
+  close_out out;
+  read_and_remove path
+
+(* Recorded when the binary-heap and calendar-queue schedulers both
+   still ran and produced these exact bytes. *)
+let faulted_trace_digest = "3e1fd78c757e7212c9c28d4885992fef"
 
 let test_faulted_trace_deterministic () =
-  let heap = faulted_trace `Heap in
-  Alcotest.(check bool) "trace non-trivial" true (String.length heap > 10_000);
-  Alcotest.(check string) "same seed, same bytes" heap (faulted_trace `Heap);
-  Alcotest.(check string) "byte-identical across schedulers" heap
-    (faulted_trace `Calendar);
+  let trace = faulted_trace () in
+  Alcotest.(check bool) "trace non-trivial" true (String.length trace > 10_000);
+  Alcotest.(check string) "same seed, same bytes" trace (faulted_trace ());
+  Alcotest.(check string) "trace digest unchanged" faulted_trace_digest
+    (Digest.to_hex (Digest.string trace));
   List.iter
     (fun kind ->
       Alcotest.(check bool) ("trace carries " ^ kind) true
         (let pattern = Printf.sprintf {|"ev":"%s"|} kind in
          let plen = String.length pattern in
          let rec scan i =
-           i + plen <= String.length heap
-           && (String.sub heap i plen = pattern || scan (i + 1))
+           i + plen <= String.length trace
+           && (String.sub trace i plen = pattern || scan (i + 1))
          in
          scan 0))
     [ "link_down"; "link_up"; "fault_drop"; "reorder" ]
@@ -548,34 +543,25 @@ let clean_trace_digest = "907898842d385974aba2bb8934e5ac3a"
 
 let test_clean_trace_byte_identity () =
   let trace =
-    with_scheduler `Calendar (fun () ->
-        let path = Filename.temp_file "rr-clean" ".jsonl" in
-        let out = open_out path in
-        let config = Net.Dumbbell.paper_config ~flows:2 in
-        ignore
-          (Experiments.Scenario.run
-             (Experiments.Scenario.make
-                ~topology:(Experiments.Scenario.dumbbell config)
-                ~flows:
-                  [
-                    Experiments.Scenario.flow Core.Variant.Rr;
-                    Experiments.Scenario.flow Core.Variant.Rr;
-                  ]
-                ~params:{ Tcp.Params.default with rwnd = 20 }
-                ~seed:7L ~duration:10.0 ~uniform_loss:0.01 ~ack_loss:0.0
-                ~delayed_ack:false ~monitor_queue:0.1 ~trace_out:out
-                ~trace_format:`Jsonl ~faults:Faults.Spec.none ~audit_sample:1
-                ())
-            : Experiments.Scenario.t);
-        close_out out;
-        let ic = open_in_bin path in
-        let contents =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        Sys.remove path;
-        contents)
+    let path = Filename.temp_file "rr-clean" ".jsonl" in
+    let out = open_out path in
+    let config = Net.Dumbbell.paper_config ~flows:2 in
+    ignore
+      (Experiments.Scenario.run
+         (Experiments.Scenario.make
+            ~topology:(Experiments.Scenario.dumbbell config)
+            ~flows:
+              [
+                Experiments.Scenario.flow Core.Variant.Rr;
+                Experiments.Scenario.flow Core.Variant.Rr;
+              ]
+            ~params:{ Tcp.Params.default with rwnd = 20 }
+            ~seed:7L ~duration:10.0 ~uniform_loss:0.01 ~ack_loss:0.0
+            ~delayed_ack:false ~monitor_queue:0.1 ~trace_out:out
+            ~trace_format:`Jsonl ~faults:Faults.Spec.none ~audit_sample:1 ())
+        : Experiments.Scenario.t);
+    close_out out;
+    read_and_remove path
   in
   Alcotest.(check string) "clean trace digest unchanged" clean_trace_digest
     (Digest.to_hex (Digest.string trace))

@@ -186,7 +186,11 @@ let test_dumbbell_builder_names () =
     [
       "gateway"; "reverse_gateway"; "access_fwd0"; "access_rev1"; "exit_fwd1";
       "exit_rev0";
-    ]
+    ];
+  (* The dumbbell's queue reporting order names every link exactly once. *)
+  Alcotest.(check (list string))
+    "queue order covers the links" (List.sort compare names)
+    (List.sort compare (Net.Dumbbell.queue_names ~flows:2))
 
 (* Conservation: whatever parking lot we build and whatever mixture of
    data and ACK packets we inject, after the engine drains every packet
