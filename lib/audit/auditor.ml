@@ -27,7 +27,7 @@ type queue_state = {
   mutable deq : int;
   mutable drop : int;
   start : Net.Queue_disc.stats;  (* counter values at attach time *)
-  per_flow : (int, int Queue.t) Hashtbl.t;  (* flow -> uids in FIFO order *)
+  per_flow : (int, int Sim.Ring.t) Hashtbl.t;  (* flow -> uids in FIFO order *)
 }
 
 type t = {
@@ -263,11 +263,13 @@ let attach_sender t ?rr ~label agent =
 
 (* -- queue-discipline packet conservation -- *)
 
+(* [Hashtbl.find], not [find_opt]: the hit, taken on every queue event,
+   then allocates no option; the miss is once per flow. *)
 let flow_fifo q flow =
-  match Hashtbl.find_opt q.per_flow flow with
-  | Some fifo -> fifo
-  | None ->
-    let fifo = Queue.create () in
+  match Hashtbl.find q.per_flow flow with
+  | fifo -> fifo
+  | exception Not_found ->
+    let fifo = Sim.Ring.create ~dummy:0 ~limit:max_int in
     Hashtbl.add q.per_flow flow fifo;
     fifo
 
@@ -306,17 +308,20 @@ let attach_queue t ~name disc =
      [sample = 1]; sampled audits keep the exact occupancy counters and
      the sampled conservation check. *)
   let full_stream = t.sample = 1 in
-  Net.Queue_disc.subscribe disc (function
-    | Net.Queue_disc.Enqueued packet ->
+  Net.Queue_disc.subscribe disc (fun event packet ->
+    match event with
+    | Net.Queue_disc.Enqueued ->
       q.enq <- q.enq + 1;
       q.inside <- q.inside + 1;
       if full_stream then
-        Queue.push packet.Net.Packet.uid (flow_fifo q packet.Net.Packet.flow);
+        Sim.Ring.push
+          (flow_fifo q packet.Net.Packet.flow)
+          packet.Net.Packet.uid;
       if due t then occupancy_consistent ()
-    | Net.Queue_disc.Dropped _ ->
+    | Net.Queue_disc.Dropped ->
       q.drop <- q.drop + 1;
       if due t then occupancy_consistent ()
-    | Net.Queue_disc.Dequeued packet ->
+    | Net.Queue_disc.Dequeued ->
       q.deq <- q.deq + 1;
       q.inside <- q.inside - 1;
       let sampled = due t in
@@ -330,13 +335,13 @@ let attach_queue t ~name disc =
       end;
       if full_stream then begin
         let fifo = flow_fifo q packet.Net.Packet.flow in
-        match Queue.take_opt fifo with
-        | None ->
+        if Sim.Ring.is_empty fifo then
           report_violation t ~subject ~rule:"queue-conservation"
             ~detail:
               (Printf.sprintf "dequeued uid %d (flow %d) never enqueued"
                  packet.Net.Packet.uid packet.Net.Packet.flow)
-        | Some expected ->
+        else begin
+          let expected = Sim.Ring.pop fifo in
           tally t;
           if not (expected = packet.Net.Packet.uid) then
             report_violation t ~subject ~rule:"queue-fifo"
@@ -345,6 +350,7 @@ let attach_queue t ~name disc =
                    "flow %d reordered: dequeued uid %d while uid %d was in \
                     front"
                    packet.Net.Packet.flow packet.Net.Packet.uid expected)
+        end
       end;
       if sampled then occupancy_consistent ())
 

@@ -312,14 +312,14 @@ let attach_sender t agent =
       emit_flow_marker t ~tag:4 ~ev:"timeout" ~time ~flow)
 
 let attach_queue t ~engine ~name disc =
-  Net.Queue_disc.subscribe disc (fun event ->
+  Net.Queue_disc.subscribe disc (fun event p ->
       let time = Sim.Engine.now engine in
       match event with
-      | Net.Queue_disc.Enqueued p ->
+      | Net.Queue_disc.Enqueued ->
         emit_queue_event t ~tag:5 ~ev:"enqueue" ~time ~name p
-      | Net.Queue_disc.Dropped p ->
+      | Net.Queue_disc.Dropped ->
         emit_queue_event t ~tag:6 ~ev:"drop" ~time ~name p
-      | Net.Queue_disc.Dequeued p ->
+      | Net.Queue_disc.Dequeued ->
         emit_queue_event t ~tag:7 ~ev:"dequeue" ~time ~name p)
 
 let attach_injector t injector =

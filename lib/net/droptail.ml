@@ -1,31 +1,32 @@
 let create ~capacity ?(on_drop = fun _ -> ()) () =
   if capacity < 1 then invalid_arg "Droptail.create: capacity < 1";
-  let fifo : Packet.t Queue.t = Queue.create () in
+  let fifo = Queue_disc.fifo ~capacity in
   let bytes = ref 0 in
   let stats = Queue_disc.fresh_stats () in
   let enqueue packet =
-    if Queue.length fifo >= capacity then begin
+    if Sim.Ring.is_full fifo then begin
       stats.dropped <- stats.dropped + 1;
       stats.bytes_dropped <- stats.bytes_dropped + packet.Packet.size_bytes;
       on_drop packet;
       false
     end
     else begin
-      Queue.push packet fifo;
+      Sim.Ring.push fifo packet;
       bytes := !bytes + packet.Packet.size_bytes;
       stats.enqueued <- stats.enqueued + 1;
       true
     end
   in
   let dequeue () =
-    match Queue.take_opt fifo with
-    | None -> None
-    | Some packet ->
+    if Sim.Ring.is_empty fifo then None
+    else begin
+      let packet = Sim.Ring.pop fifo in
       bytes := !bytes - packet.Packet.size_bytes;
       stats.dequeued <- stats.dequeued + 1;
       Some packet
+    end
   in
   Queue_disc.make ~name:"droptail" ~enqueue ~dequeue
-    ~length:(fun () -> Queue.length fifo)
+    ~length:(fun () -> Sim.Ring.length fifo)
     ~byte_length:(fun () -> !bytes)
     ~stats ()

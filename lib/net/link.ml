@@ -2,16 +2,16 @@
    twice: once when serialization completes (put the packet on the wire,
    start serving the next one) and once when propagation completes (hand
    the packet to [dst]). The record and its single closure are recycled
-   through a per-link free list, so the steady-state per-packet cost is
-   two no-handle engine events and zero link-side allocations — where it
-   used to be two fresh nested closures plus two cancellable handles. *)
+   through a per-link array stack, so the steady-state per-packet cost
+   is two no-handle engine events and no link-side record, option or
+   closure — where it used to be two fresh nested closures plus two
+   cancellable handles. *)
 
 type delivery = {
   mutable packet : Packet.t;
   (* false: awaiting end of serialization; true: on the wire. *)
   mutable in_flight : bool;
   mutable fire : unit -> unit;
-  mutable next_free : delivery option;
 }
 
 (* A one-field all-float record is stored flat: updating [v] is a plain
@@ -35,7 +35,10 @@ type t = {
      a constant delay the clamp never binds, so static links schedule
      exactly the times they always did. *)
   last_arrival : fcell;
-  mutable free : delivery option;
+  (* Recycled deliveries: [free.(0 .. n_free - 1)] is the stack. Slots
+     above it may hold stale records; they are never read. *)
+  mutable free : delivery array;
+  mutable n_free : int;
 }
 
 let create ~engine ~bandwidth_bps ~delay ~queue ~dst () =
@@ -51,7 +54,8 @@ let create ~engine ~bandwidth_bps ~delay ~queue ~dst () =
     up = true;
     delivered = 0;
     last_arrival = { v = neg_infinity };
-    free = None;
+    free = [||];
+    n_free = 0;
   }
 
 let queue t = t.queue
@@ -59,6 +63,15 @@ let queue t = t.queue
 let busy t = t.busy
 
 let delivered t = t.delivered
+
+let release t d =
+  if t.n_free = Array.length t.free then begin
+    let grown = Array.make (max 4 (2 * t.n_free)) d in
+    Array.blit t.free 0 grown 0 t.n_free;
+    t.free <- grown
+  end;
+  Array.unsafe_set t.free t.n_free d;
+  t.n_free <- t.n_free + 1
 
 (* Serve the queue head: serialize for size/bandwidth, then put the
    packet on the wire (delivery [delay] later) and start on the next
@@ -71,22 +84,24 @@ let rec transmit_next t =
     | None -> t.busy <- false
     | Some packet ->
     t.busy <- true;
+    (* [Sim.Units.transmission_time], open-coded: a float returned from
+       another module is boxed. Same expression, same bits. *)
     let tx_time =
-      Sim.Units.transmission_time ~size_bytes:packet.Packet.size_bytes
-        ~bandwidth_bps:t.bandwidth_bps
+      8.0 *. float_of_int packet.Packet.size_bytes /. t.bandwidth_bps
     in
     let d =
-      match t.free with
-      | Some d ->
-        t.free <- d.next_free;
-        d.next_free <- None;
+      if t.n_free > 0 then begin
+        t.n_free <- t.n_free - 1;
+        let d = Array.unsafe_get t.free t.n_free in
         d.packet <- packet;
         d.in_flight <- false;
         d
-      | None ->
-        let d = { packet; in_flight = false; fire = ignore; next_free = None } in
+      end
+      else begin
+        let d = { packet; in_flight = false; fire = ignore } in
         d.fire <- (fun () -> fire_delivery t d);
         d
+      end
     in
     Sim.Engine.schedule_unit t.engine ~delay:tx_time d.fire
 
@@ -103,8 +118,7 @@ and fire_delivery t d =
   end
   else begin
     let packet = d.packet in
-    d.next_free <- t.free;
-    t.free <- Some d;
+    release t d;
     t.delivered <- t.delivered + 1;
     t.dst packet
   end

@@ -12,9 +12,13 @@
     Packets are represented as a single all-immediate record: the
     direction tag and sequence number share one packed [info] word and
     the creation timestamp is stored in {!Sim.Timebits} encoding, so
-    building a packet costs one allocation and per-packet hot paths
-    ({!is_data}, {!seq_exn}, {!ackno_exn}) never allocate. {!kind}
-    materializes the pattern-matchable view for cold paths. *)
+    building a packet allocates the 7-word record and nothing else, and
+    per-packet hot paths ({!is_data}, {!seq_exn}, {!ackno_exn}) never
+    allocate. Two floats cross the module boundary and are boxed there
+    in dune's dev profile, which compiles with [-opaque]: a [~born] the
+    caller computed (e.g. a [Sim.Engine.now] result, already a box),
+    and the result of {!born} (2 words per call). {!kind} materializes
+    the pattern-matchable view for cold paths. *)
 
 (** Pattern-matchable view of a packet's payload, built on demand by
     {!kind}. *)
@@ -67,7 +71,8 @@ val ackno_exn : t -> int
 (** [sack t] is the SACK block list; [[]] for data packets. *)
 val sack : t -> (int * int) list
 
-(** [born t] is the creation timestamp. *)
+(** [born t] is the creation timestamp. Allocates its 2-word float
+    result outside an inlining build. *)
 val born : t -> float
 
 (** [kind t] materializes the pattern-matchable payload view.

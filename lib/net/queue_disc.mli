@@ -8,7 +8,10 @@
 
     Every discipline built with {!make} carries a multicast observer
     list: auditors and tracers {!subscribe} to see each accept, drop and
-    departure as it happens, without wrapping the queue. *)
+    departure as it happens, without wrapping the queue. An event is a
+    constant constructor passed alongside the packet, so notifying
+    observers allocates nothing, and a queue nobody observes skips the
+    fan-out entirely. *)
 
 type stats = {
   mutable enqueued : int;  (** packets accepted *)
@@ -17,9 +20,10 @@ type stats = {
   mutable bytes_dropped : int;
 }
 
-(** One queue transition. [Dropped] packets were refused at enqueue and
-    never entered the queue. *)
-type event = Enqueued of Packet.t | Dropped of Packet.t | Dequeued of Packet.t
+(** One queue transition, delivered with the packet it concerns.
+    [Dropped] packets were refused at enqueue and never entered the
+    queue. *)
+type event = Enqueued | Dropped | Dequeued
 
 type t = {
   name : string;
@@ -31,16 +35,25 @@ type t = {
   length : unit -> int;  (** packets currently queued *)
   byte_length : unit -> int;  (** bytes currently queued *)
   stats : stats;
-  observers : (event -> unit) list ref;  (** managed via {!subscribe} *)
+  observers : (event -> Packet.t -> unit) list ref;
+      (** managed via {!subscribe} *)
 }
 
 (** [fresh_stats ()] is an all-zero counter record. *)
 val fresh_stats : unit -> stats
 
+(** [fifo ~capacity] is the empty packet buffer a discipline serves
+    from: a {!Sim.Ring} holding at most [capacity] packets that grows on
+    demand.
+
+    @raise Invalid_argument if [capacity < 1]. *)
+val fifo : capacity:int -> Packet.t Sim.Ring.t
+
 (** [make ~name ~enqueue ~dequeue ~length ~byte_length ~stats ()] wraps
     a discipline implementation so every enqueue outcome and dequeue is
     broadcast to subscribers. Concrete disciplines must build their
-    record through this. *)
+    record through this. The wrapped [dequeue] returns the
+    discipline's own result unchanged. *)
 val make :
   name:string ->
   enqueue:(Packet.t -> bool) ->
@@ -51,7 +64,7 @@ val make :
   unit ->
   t
 
-(** [subscribe t f] adds [f] to the observer list; events are delivered
-    in subscription order, after the discipline's own state and [stats]
-    are updated. Subscriptions cannot be removed. *)
-val subscribe : t -> (event -> unit) -> unit
+(** [subscribe t f] adds [f] to the observer list; [f event packet] is
+    called in subscription order, after the discipline's own state and
+    [stats] are updated. Subscriptions cannot be removed. *)
+val subscribe : t -> (event -> Packet.t -> unit) -> unit

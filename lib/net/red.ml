@@ -15,18 +15,25 @@ type drop_stats = {
   mutable buffer_full : int;
 }
 
+(* An all-float record is stored flat: the per-arrival update of [avg]
+   is a plain float store, where a float field of [state] would box on
+   every write. *)
+type estimate = {
+  mutable avg : float;
+  mutable idle_since : float;  (* time the queue went empty, if [idle] *)
+}
+
 type state = {
   engine : Sim.Engine.t;
-  capacity : int;
   params : params;
   rng : Sim.Rng.t;
-  fifo : Packet.t Queue.t;
+  fifo : Packet.t Sim.Ring.t;
   mutable bytes : int;
-  mutable avg : float;
+  estimate : estimate;
   (* Inter-drop packet count since the last early/forced drop; -1 outside
      the [min_th, max_th) band, per Floyd & Jacobson Fig. 2. *)
   mutable count : int;
-  mutable idle_since : float option;  (* time the queue went empty *)
+  mutable idle : bool;
   mean_service_time : float;  (* per mean-size packet, for idle decay *)
   drop_stats : drop_stats;
   queue_stats : Queue_disc.stats;
@@ -53,7 +60,7 @@ let drop t packet ~cause =
   false
 
 let accept t packet =
-  Queue.push packet t.fifo;
+  Sim.Ring.push t.fifo packet;
   t.bytes <- t.bytes + packet.Packet.size_bytes;
   t.queue_stats.enqueued <- t.queue_stats.enqueued + 1;
   true
@@ -61,33 +68,34 @@ let accept t packet =
 (* Decay the average across an idle period as if [m] mean-size packets
    had been serviced from an empty queue. *)
 let update_average t =
-  (match t.idle_since with
-  | Some went_idle ->
-    let idle = Sim.Engine.now t.engine -. went_idle in
+  let e = t.estimate in
+  if t.idle then begin
+    let idle = Sim.Engine.now t.engine -. e.idle_since in
     let m = idle /. t.mean_service_time in
-    if m > 0.0 then t.avg <- t.avg *. ((1.0 -. t.params.wq) ** m);
-    t.idle_since <- None
-  | None -> ());
-  let q = float_of_int (Queue.length t.fifo) in
-  t.avg <- ((1.0 -. t.params.wq) *. t.avg) +. (t.params.wq *. q)
+    if m > 0.0 then e.avg <- e.avg *. ((1.0 -. t.params.wq) ** m);
+    t.idle <- false
+  end;
+  let q = float_of_int (Sim.Ring.length t.fifo) in
+  e.avg <- ((1.0 -. t.params.wq) *. e.avg) +. (t.params.wq *. q)
 
 let enqueue t packet =
   update_average t;
   let p = t.params in
-  if t.avg >= p.max_th then begin
+  let avg = t.estimate.avg in
+  if avg >= p.max_th then begin
     t.count <- 0;
     drop t packet ~cause:`Forced
   end
-  else if t.avg >= p.min_th then begin
+  else if avg >= p.min_th then begin
     t.count <- t.count + 1;
-    let pb = p.max_p *. (t.avg -. p.min_th) /. (p.max_th -. p.min_th) in
+    let pb = p.max_p *. (avg -. p.min_th) /. (p.max_th -. p.min_th) in
     let denominator = 1.0 -. (float_of_int t.count *. pb) in
     let pa = if denominator <= 0.0 then 1.0 else pb /. denominator in
     if Sim.Rng.bernoulli t.rng pa then begin
       t.count <- 0;
       drop t packet ~cause:`Early
     end
-    else if Queue.length t.fifo >= t.capacity then begin
+    else if Sim.Ring.is_full t.fifo then begin
       t.count <- 0;
       drop t packet ~cause:`Buffer_full
     end
@@ -95,20 +103,23 @@ let enqueue t packet =
   end
   else begin
     t.count <- -1;
-    if Queue.length t.fifo >= t.capacity then
+    if Sim.Ring.is_full t.fifo then
       drop t packet ~cause:`Buffer_full
     else accept t packet
   end
 
 let dequeue t () =
-  match Queue.take_opt t.fifo with
-  | None -> None
-  | Some packet ->
+  if Sim.Ring.is_empty t.fifo then None
+  else begin
+    let packet = Sim.Ring.pop t.fifo in
     t.bytes <- t.bytes - packet.Packet.size_bytes;
     t.queue_stats.dequeued <- t.queue_stats.dequeued + 1;
-    if Queue.is_empty t.fifo then
-      t.idle_since <- Some (Sim.Engine.now t.engine);
+    if Sim.Ring.is_empty t.fifo then begin
+      t.idle <- true;
+      t.estimate.idle_since <- Sim.Engine.now t.engine
+    end;
     Some packet
+  end
 
 let create_with_probe ~engine ~capacity ~params ~rng ~bandwidth_bps
     ?(on_drop = fun _ -> ()) () =
@@ -122,14 +133,13 @@ let create_with_probe ~engine ~capacity ~params ~rng ~bandwidth_bps
   let t =
     {
       engine;
-      capacity;
       params;
       rng;
-      fifo = Queue.create ();
+      fifo = Queue_disc.fifo ~capacity;
       bytes = 0;
-      avg = 0.0;
+      estimate = { avg = 0.0; idle_since = 0.0 };
       count = -1;
-      idle_since = None;
+      idle = false;
       mean_service_time;
       drop_stats = { early = 0; forced = 0; buffer_full = 0 };
       queue_stats = Queue_disc.fresh_stats ();
@@ -140,11 +150,11 @@ let create_with_probe ~engine ~capacity ~params ~rng ~bandwidth_bps
     Queue_disc.make ~name:"red"
       ~enqueue:(fun packet -> enqueue t packet)
       ~dequeue:(dequeue t)
-      ~length:(fun () -> Queue.length t.fifo)
+      ~length:(fun () -> Sim.Ring.length t.fifo)
       ~byte_length:(fun () -> t.bytes)
       ~stats:t.queue_stats ()
   in
-  (disc, t.drop_stats, fun () -> t.avg)
+  (disc, t.drop_stats, fun () -> t.estimate.avg)
 
 let create ~engine ~capacity ~params ~rng ~bandwidth_bps ?on_drop () =
   let disc, drops, _probe =

@@ -30,12 +30,38 @@ type wrap = (Packet.t -> unit) -> Packet.t -> unit
 (* Compiled per-node forwarding state: explicit entries in [exceptions]
    (destination node id -> link id), everything else on [default_link]
    (-1 = no default). Defaults-plus-exceptions keeps a gateway's table
-   O(attached hosts) rather than O(nodes^2). *)
+   O(attached hosts) rather than O(nodes^2).
+
+   [exceptions] is an open-addressed table in one flat int array:
+   slot [i] holds a destination at [2i] ([-1] = empty) and its link at
+   [2i + 1], probed linearly from [dst land mask]. Node ids are dense
+   declaration indices, so a gateway's hosts mostly land in their own
+   slots. A lookup is a few int loads and allocates nothing, where
+   [Hashtbl.find_opt] boxes every hit in an option. *)
 type node_state = {
   name : string;
   default_link : int;
-  exceptions : (int, int) Hashtbl.t;
+  exceptions : int array;
+  mask : int;
 }
+
+let empty_slot = -1
+
+(* An empty table for [n] exceptions: a power-of-two slot count with
+   the load at most 3/4, so every probe sequence meets an empty slot. *)
+let exception_table n =
+  let slots = ref 1 in
+  while 3 * !slots < 4 * n do
+    slots := 2 * !slots
+  done;
+  Array.make (2 * !slots) empty_slot
+
+(* The slot holding [dst], or the empty slot ending its probe sequence
+   (whose link reads [-1]). *)
+let rec probe table mask dst i =
+  let key = Array.unsafe_get table (2 * i) in
+  if key = dst || key = empty_slot then i
+  else probe table mask dst ((i + 1) land mask)
 
 type t = {
   link_of_name : (string, int) Hashtbl.t;
@@ -108,7 +134,8 @@ let compile_spec (spec : spec) =
       (List.map
          (fun n ->
            let here = node_id n.node in
-           let exceptions = Hashtbl.create (max 4 (List.length n.routes)) in
+           let exceptions = exception_table (List.length n.routes) in
+           let mask = (Array.length exceptions / 2) - 1 in
            List.iter
              (fun { target; via } ->
                let target = node_id target in
@@ -117,9 +144,11 @@ let compile_spec (spec : spec) =
                if node_id l.from_node <> here then
                  invalid "Topology: route at %S via %S does not leave %S"
                    n.node (fst links.(via)) n.node;
-               if Hashtbl.mem exceptions target then
+               let i = probe exceptions mask target (target land mask) in
+               if exceptions.(2 * i) = target then
                  invalid "Topology: duplicate route at %S" n.node;
-               Hashtbl.add exceptions target via)
+               exceptions.(2 * i) <- target;
+               exceptions.((2 * i) + 1) <- via)
              n.routes;
            let default_link =
              match n.default_route with
@@ -132,7 +161,7 @@ let compile_spec (spec : spec) =
                    n.node (fst links.(via)) n.node;
                via
            in
-           { name = n.node; default_link; exceptions })
+           { name = n.node; default_link; exceptions; mask })
          spec.nodes)
   in
   Array.iteri
@@ -140,11 +169,13 @@ let compile_spec (spec : spec) =
     attached;
   (node_of_name, link_of_name, links, nodes)
 
+(* The link leaving [node] toward [dst], [-1] when there is no route. *)
 let next_hop nodes ~node ~dst =
   let state = nodes.(node) in
-  match Hashtbl.find_opt state.exceptions dst with
-  | Some link -> Some link
-  | None -> if state.default_link >= 0 then Some state.default_link else None
+  let table = state.exceptions and mask = state.mask in
+  let i = probe table mask dst (dst land mask) in
+  let link = Array.unsafe_get table ((2 * i) + 1) in
+  if link >= 0 then link else state.default_link
   [@@inline]
 
 let validate spec ~flows =
@@ -168,11 +199,11 @@ let validate spec ~flows =
             invalid "Topology: route from %S to %S loops" nodes.(src).name
               nodes.(dst).name
           else
-            match next_hop nodes ~node ~dst with
-            | None ->
+            let link = next_hop nodes ~node ~dst in
+            if link < 0 then
               invalid "Topology: no route toward %S at %S" nodes.(dst).name
                 nodes.(node).name
-            | Some link ->
+            else
               let _, l = links.(link) in
               step (Hashtbl.find node_of_name l.to_node) (hops + 1)
       in
@@ -211,9 +242,9 @@ let destination t packet =
   [@@inline]
 
 let forward t ~node ~dst packet =
-  match next_hop t.nodes ~node ~dst with
-  | Some link -> t.entries.(link) packet
-  | None ->
+  let link = next_hop t.nodes ~node ~dst in
+  if link >= 0 then t.entries.(link) packet
+  else
     invalid "Topology: no route toward %S at %S" t.nodes.(dst).name
       t.nodes.(node).name
 

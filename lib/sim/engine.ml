@@ -12,9 +12,10 @@
      through a free list the moment an event fires or a cancelled
      event drains; the generation check makes a stale handle's
      [cancel] a no-op instead of a misfire. Every event recycles,
-     handle or not — a steady-state run allocates nothing per event,
-     and an engine holding 100k pending events costs six flat arrays
-     rather than 100k heap records for the GC to trace and promote.
+     handle or not — a steady-state run allocates nothing per event
+     (test/test_alloc.ml pins it), and an engine holding 100k pending
+     events costs six flat arrays rather than 100k heap records for the
+     GC to trace and promote.
    - The scheduler is an ns-2-style calendar queue (Brown 1988),
      intrusive over the arena: bucket chains and the free list thread
      through the [qnext] array.
@@ -60,8 +61,21 @@ let cancelled_tag = 2
 
 let nop () = ()
 
-let[@inline always] bits_of_time (t : float) = Timebits.of_time t
-let[@inline always] time_of_bits (bits : int) = Timebits.to_time bits
+(* A module-local copy of the {!Timebits} encoding, not a call to it:
+   dune's dev profile compiles with [-opaque], which stops every
+   cross-module inline, so a float passed to or returned from another
+   module is boxed. Called across the boundary, [Timebits.to_time]
+   would allocate on every push and pop. Inlined here, the time stays
+   an unboxed register value from [now] through [checked_bits] to the
+   bucket index. test/test_alloc.ml pins the result: zero words per
+   scheduled-and-fired event. *)
+let bias = 0x4000_0000_0000_0000L
+
+let[@inline always] bits_of_time (t : float) =
+  Int64.to_int (Int64.sub (Int64.bits_of_float t) bias)
+
+let[@inline always] time_of_bits (bits : int) =
+  Int64.float_of_bits (Int64.add (Int64.of_int bits) bias)
 
 type cal = {
   mutable buckets : int array;
@@ -581,19 +595,16 @@ let[@inline] fire_slot t s =
   end
   else free_slot t s
 
-(* A direct allocation-free pop per event. *)
-let drain t ~limit_bits =
-  let q = t.queue in
-  let rec loop () =
-    if not t.stopped then begin
-      let s = cal_pop_if_before t q ~limit_bits in
-      if s <> no_slot then begin
-        fire_slot t s;
-        loop ()
-      end
+(* A direct allocation-free pop per event. Top-level recursion: a
+   local [loop] closure would be allocated on every [run]. *)
+let rec drain t ~limit_bits =
+  if not t.stopped then begin
+    let s = cal_pop_if_before t t.queue ~limit_bits in
+    if s <> no_slot then begin
+      fire_slot t s;
+      drain t ~limit_bits
     end
-  in
-  loop ()
+  end
 
 let run t =
   t.stopped <- false;

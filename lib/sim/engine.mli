@@ -15,7 +15,10 @@ type handle
 (** [create ()] returns an engine with the clock at time 0. *)
 val create : unit -> t
 
-(** [now t] is the current virtual time in seconds. *)
+(** [now t] is the current virtual time in seconds. Read inside the
+    engine it stays unboxed; returned to another module it is a fresh
+    2-word float box, because dune's dev profile compiles with
+    [-opaque] and so inlines nothing across modules. *)
 val now : t -> float
 
 (** [schedule_at t ~time f] runs [f ()] when the clock reaches [time].
@@ -31,8 +34,11 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule_unit_at t ~time f] is {!schedule_at} for fire-and-forget
     events: no cancellation handle is returned, which lets the engine
     recycle the event record through an internal free list. This is the
-    allocation-free fast path for the per-packet events of the hot
-    simulation loop.
+    fast path for the per-packet events of the hot simulation loop: the
+    engine allocates nothing to schedule, queue and fire such an event
+    (test/test_alloc.ml pins 0 words). A [time] the caller computed is
+    a float crossing a module boundary, boxed at the call (2 words) in
+    the dev profile; a literal constant is not.
 
     @raise Invalid_argument if [time < now t]. *)
 val schedule_unit_at : t -> time:float -> (unit -> unit) -> unit

@@ -6,7 +6,11 @@
    [Int64.to_int]'s 63-bit truncation then preserves exactly — without
    the recentring, any time >= 2.0 sets bit 62 and truncation flips
    the sign, breaking the ordering. The [Int64] chains below compile
-   allocation-free (unboxed externals). *)
+   allocation-free (unboxed externals) once inlined. Called from
+   another module they are not inlined in dune's dev profile, which
+   compiles with [-opaque]: [of_time] then takes its float boxed and
+   [to_time] returns a fresh 2-word box. [Engine] therefore keeps its
+   own copy of both on its per-event paths. *)
 
 let bias = 0x4000_0000_0000_0000L
 

@@ -95,6 +95,29 @@ let test_drop_list_flow_scoped () =
   next (data ~flow:1 3);
   Alcotest.(check (list int)) "only flow 1" [ 1 ] !dropped
 
+(* Rules of two flows on one sequence number fire independently, and a
+   later rule for the same (flow, seq) replaces an earlier one. *)
+let test_drop_list_shared_seq () =
+  let dropped = ref [] in
+  let next =
+    Net.Loss.drop_list
+      ~rules:
+        [
+          { Net.Loss.flow = 0; seq = 3; occurrence = 1 };
+          { Net.Loss.flow = 1; seq = 3; occurrence = 1 };
+          { Net.Loss.flow = 1; seq = 3; occurrence = 2 };
+        ]
+      ~on_drop:(fun p -> dropped := p.Net.Packet.flow :: !dropped)
+      (fun _ -> ())
+  in
+  List.iter next
+    [
+      data ~flow:0 3; data ~flow:1 3; data ~flow:1 3; data ~flow:0 3;
+      data ~flow:1 3;
+    ];
+  Alcotest.(check (list int))
+    "flow 0 first, flow 1 second pass" [ 1; 0 ] !dropped
+
 let test_drop_list_ignores_acks () =
   let passed = ref 0 in
   let next =
@@ -116,6 +139,7 @@ let suite =
         Alcotest.test_case "drop list first tx" `Quick test_drop_list_first_occurrence;
         Alcotest.test_case "drop list nth tx" `Quick test_drop_list_nth_occurrence;
         Alcotest.test_case "drop list flow scope" `Quick test_drop_list_flow_scoped;
+        Alcotest.test_case "drop list shared seq" `Quick test_drop_list_shared_seq;
         Alcotest.test_case "drop list ignores acks" `Quick test_drop_list_ignores_acks;
       ] );
   ]

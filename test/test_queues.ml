@@ -131,6 +131,82 @@ let test_red_validation () =
   in
   bad { Net.Red.paper_params with min_th = 10.0; max_th = 5.0 }
 
+(* The ring FIFO behind both disciplines, against [Stdlib.Queue] as the
+   model: random enqueue/dequeue interleavings whose enqueue share
+   varies per case, so runs fill past the ring's initial 8 slots
+   (growth), cycle around its end (wrap-around) and hit [capacity]
+   (drops). Length, byte length, stats and the dequeued packet itself
+   are compared after every step. *)
+let prop_droptail_ring_model =
+  QCheck2.Test.make ~name:"droptail ring matches a Stdlib.Queue model"
+    ~count:300
+    QCheck2.Gen.(
+      triple (int_range 1 40) (int_range 20 80)
+        (list_size (int_range 0 400)
+           (pair (int_range 0 99) (int_range 40 1500))))
+    (fun (capacity, enqueue_share, steps) ->
+      let q = Net.Droptail.create ~capacity () in
+      let model = Queue.create () in
+      let model_stats = Net.Queue_disc.fresh_stats () in
+      let bytes = ref 0 and uid = ref 0 in
+      List.for_all
+        (fun (coin, size) ->
+          let same_outcome =
+            if coin < enqueue_share then begin
+              incr uid;
+              let p = packet ~size !uid in
+              let fits = Queue.length model < capacity in
+              if fits then begin
+                Queue.push p model;
+                bytes := !bytes + size;
+                model_stats.enqueued <- model_stats.enqueued + 1
+              end
+              else begin
+                model_stats.dropped <- model_stats.dropped + 1;
+                model_stats.bytes_dropped <- model_stats.bytes_dropped + size
+              end;
+              q.Net.Queue_disc.enqueue p = fits
+            end
+            else
+              match (q.Net.Queue_disc.dequeue (), Queue.take_opt model) with
+              | None, None -> true
+              | Some got, Some want ->
+                bytes := !bytes - want.Net.Packet.size_bytes;
+                model_stats.dequeued <- model_stats.dequeued + 1;
+                got == want
+              | Some _, None | None, Some _ -> false
+          in
+          same_outcome
+          && q.Net.Queue_disc.length () = Queue.length model
+          && q.Net.Queue_disc.byte_length () = !bytes
+          && q.Net.Queue_disc.stats = model_stats)
+        steps)
+
+(* Storage follows occupancy, not the bound: a 65 536-packet queue that
+   never holds more than 10 packets keeps 16 slots. *)
+let test_ring_grows_on_demand () =
+  let ring = Sim.Ring.create ~dummy:0 ~limit:65_536 in
+  Alcotest.(check int) "starts small" 8 (Sim.Ring.slots ring);
+  for round = 1 to 1_000 do
+    for i = 1 to 10 do
+      Sim.Ring.push ring ((round * 10) + i)
+    done;
+    for i = 1 to 10 do
+      Alcotest.(check int) "fifo order" ((round * 10) + i) (Sim.Ring.pop ring)
+    done
+  done;
+  Alcotest.(check int) "one doubling" 16 (Sim.Ring.slots ring);
+  let small = Sim.Ring.create ~dummy:0 ~limit:5 in
+  for i = 1 to 5 do
+    Sim.Ring.push small i
+  done;
+  Alcotest.(check int) "capped at the limit" 5 (Sim.Ring.slots small);
+  Alcotest.(check bool) "full" true (Sim.Ring.is_full small);
+  Alcotest.check_raises "push past the limit"
+    (Invalid_argument "Ring.push: full") (fun () -> Sim.Ring.push small 6);
+  Alcotest.check_raises "pop when empty" (Invalid_argument "Ring.pop: empty")
+    (fun () -> ignore (Sim.Ring.pop (Sim.Ring.create ~dummy:0 ~limit:1) : int))
+
 let suite =
   [
     ( "droptail",
@@ -139,6 +215,9 @@ let suite =
         Alcotest.test_case "capacity" `Quick test_droptail_capacity;
         Alcotest.test_case "byte length" `Quick test_droptail_byte_length;
         Alcotest.test_case "invalid" `Quick test_droptail_invalid;
+        Alcotest.test_case "ring grows on demand" `Quick
+          test_ring_grows_on_demand;
+        QCheck_alcotest.to_alcotest prop_droptail_ring_model;
       ] );
     ( "red",
       [

@@ -99,11 +99,94 @@ let prop_int_in_range =
       let k = Sim.Rng.int rng n in
       k >= 0 && k < n)
 
+(* Golden streams, recorded from the SplitMix64 implementation that
+   kept its state in a boxed [int64] field. The state representation
+   may change; these 16 outputs of each stream may not, or every seeded
+   artifact of the repository moves. *)
+
+let golden_bits =
+  [
+    0xBDD732262FEB6E95L; 0x28EFE333B266F103L;
+    0x47526757130F9F52L; 0x581CE1FF0E4AE394L;
+    0x09BC585A244823F2L; 0xDE4431FA3C80DB06L;
+    0x37E9671C45376D5DL; 0xCCF635EE9E9E2FA4L;
+    0x5705B8770B3D7DD5L; 0x9E54D738297F77AEL;
+    0x3474724A775B19BFL; 0x7E348A0E451650BEL;
+    0x836DED897F3E46E6L; 0x851F977347ED6DB7L;
+    0xAA47E31C02E78EDCL; 0x341452C54D7C33F2L;
+  ]
+
+let golden_floats =
+  [
+    0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3;
+    0x1.1d499d5c4c3e6p-2; 0x1.607387fc392b8p-2;
+    0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+    0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1;
+    0x1.5c16e1dc2cf5ep-2; 0x1.3ca9ae7052feep-1;
+    0x1.a3a39253bad8cp-3; 0x1.f8d2283914594p-2;
+    0x1.06dbdb12fe7c8p-1; 0x1.0a3f2ee68fdadp-1;
+    0x1.548fc63805cf1p-1; 0x1.a0a2962a6be18p-3;
+  ]
+
+let golden_child_bits =
+  [
+    0xC5A57E8172F0A9D2L; 0x61B3E514F002FD8BL;
+    0xB4B2555DC7FCD0AAL; 0x9A0499C8CFAE7A8DL;
+    0x048FC621CDBA53ADL; 0xE7C013AA082BCE9FL;
+    0x8571235597D94DF6L; 0x2CE9CAC0CD46ACCEL;
+    0xF2F765A4638B93EEL; 0x342E951D3C0B0026L;
+    0x81266862FB3AAA87L; 0x4B703780BCBD3117L;
+    0x6084110E3ABBAB7BL; 0xF27FA3A47F417D42L;
+    0x167D8E3BDB351F57L; 0xB6AD584BAD1A2126L;
+  ]
+
+let golden_child_floats =
+  [
+    0x1.8b4afd02e5e15p-1; 0x1.86cf9453c00bep-2;
+    0x1.6964aabb8ff9ap-1; 0x1.340933919f5cfp-1;
+    0x1.23f188736e94p-6; 0x1.cf80275410579p-1;
+    0x1.0ae246ab2fb29p-1; 0x1.674e56066a354p-3;
+    0x1.e5eecb48c7172p-1; 0x1.a174a8e9e058p-3;
+    0x1.024cd0c5f6755p-1; 0x1.2dc0de02f2f4cp-2;
+    0x1.82104438eaeeap-2; 0x1.e4ff4748fe82fp-1;
+    0x1.67d8e3bdb3518p-4; 0x1.6d5ab0975a344p-1;
+  ]
+
+(* [Rng.int rng (1 + 997 i)] for i = 0 .. 15, one stream. *)
+let golden_ints =
+  [ 0; 559; 819; 1898; 3388; 2163; 2974; 5994; 2961; 3275; 1674; 9023; 2949;
+    11243; 13711; 5845 ]
+
+let draws n f = List.init n (fun _ -> f ())
+
+let test_golden_stream () =
+  let rng = Sim.Rng.create 42L in
+  Alcotest.(check (list int64)) "bits64" golden_bits
+    (draws 16 (fun () -> Sim.Rng.bits64 rng));
+  let rng = Sim.Rng.create 42L in
+  Alcotest.(check (list (float 0.0))) "float" golden_floats
+    (draws 16 (fun () -> Sim.Rng.float rng));
+  let parent = Sim.Rng.create 42L in
+  let child = Sim.Rng.split parent in
+  Alcotest.(check (list int64)) "split child bits64" golden_child_bits
+    (draws 16 (fun () -> Sim.Rng.bits64 child));
+  (* Splitting consumes exactly one parent draw. *)
+  Alcotest.(check (list int64)) "parent after split"
+    (List.tl (List.filteri (fun i _ -> i < 5) golden_bits))
+    (draws 4 (fun () -> Sim.Rng.bits64 parent));
+  let child = Sim.Rng.split (Sim.Rng.create 42L) in
+  Alcotest.(check (list (float 0.0))) "split child float" golden_child_floats
+    (draws 16 (fun () -> Sim.Rng.float child));
+  let rng = Sim.Rng.create 42L in
+  Alcotest.(check (list int)) "int" golden_ints
+    (List.init 16 (fun i -> Sim.Rng.int rng (1 + (i * 997))))
+
 let suite =
   [
     ( "rng",
       [
         Alcotest.test_case "determinism" `Quick test_determinism;
+        Alcotest.test_case "golden stream" `Quick test_golden_stream;
         Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
         Alcotest.test_case "split independence" `Quick test_split_independence;
         Alcotest.test_case "float range" `Quick test_float_range;
