@@ -112,6 +112,34 @@ let campaign_sweep backend =
   in
   assert (outcome.Campaign.Sweep.quarantined = [] && outcome.skipped = 0)
 
+(* A short faulted dumbbell (handover, reordering, jitter) recorded by
+   a binary tracer into /dev/null: the trace sink's encoding cost
+   under the minor-words gate, with the channel write as cheap as it
+   gets. *)
+let trace_binary_faulted () =
+  let faults =
+    match
+      Faults.Spec.of_string "handover:2+0.4,reorder:0.02,jitter:0.005,reverse"
+    with
+    | Ok spec -> spec
+    | Error message -> invalid_arg ("trace/binary-faulted: " ^ message)
+  in
+  Out_channel.with_open_bin "/dev/null" (fun out ->
+      ignore
+        (Experiments.Scenario.run
+           (Experiments.Scenario.make
+              ~topology:
+                (Experiments.Scenario.dumbbell
+                   (Net.Dumbbell.paper_config ~flows:2))
+              ~flows:
+                [
+                  Experiments.Scenario.flow Core.Variant.Rr;
+                  Experiments.Scenario.flow Core.Variant.Sack;
+                ]
+              ~params:{ Tcp.Params.default with rwnd = 20 }
+              ~seed:7L ~duration:30.0 ~uniform_loss:0.01 ~faults
+              ~trace_out:out ~trace_format:`Binary ~audit_sample:16 ())))
+
 (* -- Bechamel timing: one test per artifact -- *)
 
 (* Kept as a plain (name, thunk) list so --only can restrict a run to
@@ -203,6 +231,7 @@ let all_benchmarks : (string * (unit -> unit)) list =
     ("sched/push-pop", sched_push_pop);
     ("sched/cancel", sched_cancel);
     ("link/saturated", link_saturated);
+    ("trace/binary-faulted", trace_binary_faulted);
   ]
 
 let matches_only only name =

@@ -1,8 +1,14 @@
-(** Structured JSONL event tracing.
+(** Event tracing into one of two sinks: JSONL lines or a compact
+    binary record stream.
 
     A tracer subscribes to the same multicast hooks as the auditor and
-    writes one JSON object per line to an output channel. Events and
-    their fields:
+    records every event it sees, in the format chosen at {!create}.
+    The channel is owned by the caller; the tracer only writes and
+    {!flush}es. Events are staged in an internal buffer and written out
+    in chunks, so callers must {!flush} before closing the channel.
+
+    {b JSONL} (the default) writes one JSON object per line. Events
+    and their fields:
 
     {v
     {"t":0.102340,"ev":"send","flow":0,"seq":12,"retx":false}
@@ -17,28 +23,26 @@
 
     [t] is the engine time in seconds, [seq]/[ackno] are packet-unit
     sequence numbers, [uid] is the per-simulation packet id and [dup]
-    marks ACKs that do not advance the flow's cumulative point. The
-    channel is owned by the caller; the tracer only writes and
-    {!flush}es. Lines are staged in an internal buffer and written out
-    in chunks, so callers must {!flush} before closing the channel.
+    marks ACKs that do not advance the flow's cumulative point.
 
-    {b Binary mode.} A tracer created with [~format:`Binary] records
-    the same events as a compact length-prefixed binary stream instead
-    of formatting JSON in the event hooks: a ["RRTB"] magic + version
-    header, then one LEB128-length-prefixed record per event — tag
-    byte, timestamp as the {!Sim.Timebits} int in 8 little-endian
-    bytes, then varint/zigzag fields; queue and link names are
-    interned and referenced by id after their first occurrence (the
-    full layout is documented in [trace.ml] and DESIGN.md). {!export}
+    {b Binary} ([~format:`Binary]) records the same events as a
+    length-prefixed stream: a ["RRTB"] magic + version header, then one
+    LEB128-length-prefixed record per event — tag byte, timestamp as
+    the {!Sim.Timebits} int in 8 little-endian bytes, then
+    varint/zigzag fields; queue and link names are interned and
+    referenced by id after their first occurrence (the full layout is
+    documented in [trace.ml] and DESIGN.md). No text is formatted on
+    the simulation path: a record is a few byte stores into the
+    staging area and allocates nothing (test/test_alloc.ml). {!export}
     converts such a stream back offline into exactly the JSONL the
-    default mode would have written live — byte for byte, including
-    the recomputed ACK [dup] flags. *)
+    default sink would have written — byte for byte, including the
+    recomputed ACK [dup] flags. *)
 
 type t
 
 (** [create ?flush_at ?format ~out ()] builds a tracer writing to
     [out] — JSONL by default, the binary container with [`Binary]. The
-    internal staging buffer is drained to the channel whenever it
+    internal staging area is drained to the channel whenever it
     reaches [flush_at] bytes (default 64 KiB) and on {!flush}; its
     initial capacity matches [flush_at], capped at 16 MiB.
 
@@ -102,5 +106,7 @@ exception Corrupt of string
     same events would have produced. Flushes [output]'s tracer staging
     but leaves closing both channels to the caller.
 
-    @raise Corrupt on bad magic, truncation or undecodable records. *)
+    @raise Corrupt on bad magic, truncation, undecodable records, a
+    varint longer than 9 bytes or outside the non-negative int range,
+    or a record length beyond the rest of the input. *)
 val export : input:in_channel -> output:out_channel -> unit

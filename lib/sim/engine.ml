@@ -521,6 +521,8 @@ let create () =
 
 let now t = time_of_bits t.clock_bits
 
+let now_bits t = t.clock_bits
+
 (* Claim a slot, arm it as pending (generation preserved) at the time
    whose encoding is [bits], and enqueue it. Taking the already-encoded
    time keeps the whole schedule path free of float values that would

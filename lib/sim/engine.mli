@@ -21,6 +21,14 @@ val create : unit -> t
     [-opaque] and so inlines nothing across modules. *)
 val now : t -> float
 
+(** [now_bits t] is the current virtual time in its {!Timebits}
+    encoding: [now_bits t = Timebits.of_time (now t)], as an immediate
+    int. The engine keeps its clock in this encoding, so reading it
+    allocates nothing from any module — the per-event stamp for
+    observers (such as the binary trace sink) that record the time
+    rather than compute with it. *)
+val now_bits : t -> int
+
 (** [schedule_at t ~time f] runs [f ()] when the clock reaches [time].
     [time] must not be in the past.
 

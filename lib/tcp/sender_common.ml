@@ -63,27 +63,25 @@ let on_recovery_exit t f =
 
 let on_timeout t f = t.hooks.timeout_hooks <- t.hooks.timeout_hooks @ [ f ]
 
-(* The send/ack hooks fire once per packet; the [List.iter] closure
-   would capture the arguments and allocate per event, so the one- and
-   two-observer cases (the ones scenarios actually build) are
-   dispatched directly. *)
-let fire_send t ~time ~seq ~retx =
-  match t.hooks.send_hooks with
+(* Top-level loops over the observer lists: [List.iter (fun f -> f
+   ~time ~seq ~retx)] would build a closure capturing the arguments on
+   every event, and send/ack events fire once per packet. *)
+let rec fire_send_to ~time ~seq ~retx = function
   | [] -> ()
-  | [ f ] -> f ~time ~seq ~retx
-  | [ f; g ] ->
+  | f :: rest ->
     f ~time ~seq ~retx;
-    g ~time ~seq ~retx
-  | fs -> List.iter (fun f -> f ~time ~seq ~retx) fs
+    fire_send_to ~time ~seq ~retx rest
 
-let fire_ack t ~time ~ackno =
-  match t.hooks.ack_hooks with
+let rec fire_ack_to ~time ~ackno = function
   | [] -> ()
-  | [ f ] -> f ~time ~ackno
-  | [ f; g ] ->
+  | f :: rest ->
     f ~time ~ackno;
-    g ~time ~ackno
-  | fs -> List.iter (fun f -> f ~time ~ackno) fs
+    fire_ack_to ~time ~ackno rest
+
+let fire_send t ~time ~seq ~retx =
+  fire_send_to ~time ~seq ~retx t.hooks.send_hooks
+
+let fire_ack t ~time ~ackno = fire_ack_to ~time ~ackno t.hooks.ack_hooks
 
 let notify_recovery_enter t =
   let time = Sim.Engine.now t.engine in

@@ -193,3 +193,14 @@ val notify_recovery_enter : t -> unit
 
 (** [notify_recovery_exit t] broadcasts recovery exit. *)
 val notify_recovery_exit : t -> unit
+
+(** [fire_send t ~time ~seq ~retx] calls every {!on_send} observer,
+    in subscription order. {!send_segment} fires it on every
+    transmission; the fan-out allocates nothing for any number of
+    observers (test/test_alloc.ml pins 0 words with three). *)
+val fire_send : t -> time:float -> seq:int -> retx:bool -> unit
+
+(** [fire_ack t ~time ~ackno] calls every {!on_ack} observer, as
+    {!advance_una} and {!note_dupack} do; allocation-free like
+    {!fire_send}. *)
+val fire_ack : t -> time:float -> ackno:int -> unit

@@ -147,6 +147,71 @@ let test_audited_queue_event () =
     (Audit.Auditor.checks_run auditor > checks_before);
   check_budget "audited enqueue + dequeue" ~budget:2.0 words
 
+(* A binary tracer on the same queue pair: each event is one record
+   stored straight into the tracer's staging area, stamped with the
+   engine clock's own encoding, its queue name's id cached by the
+   subscription. The pair allocates no more than untraced: the 2-word
+   option [dequeue] returns. *)
+let test_binary_traced_queue_event () =
+  let engine = Sim.Engine.create () in
+  let queue = Net.Droptail.create ~capacity:8 () in
+  Out_channel.with_open_bin "/dev/null" (fun out ->
+      let tracer = Audit.Trace.create ~format:`Binary ~out () in
+      Audit.Trace.attach_queue tracer ~engine ~name:"q" queue;
+      let packet =
+        Net.Packet.data ~uid:0 ~flow:3 ~seq:0 ~size_bytes:1000 ~born:0.0
+      in
+      check_budget "binary-traced enqueue + dequeue" ~budget:2.0
+        (words_per_op (fun () ->
+             ignore (queue.Net.Queue_disc.enqueue packet : bool);
+             ignore (queue.Net.Queue_disc.dequeue () : Net.Packet.t option))))
+
+let quiet_sender () =
+  Tcp.Sender_common.create ~engine:(Sim.Engine.create ())
+    ~params:Tcp.Params.default ~flow:0 ~emit:ignore ~timeout_action:ignore ()
+
+(* Three observers is the count whenever a tracer is attached (the
+   auditor, the flow trace and the tracer). The fan-out is a top-level
+   loop, so it builds no closure per event. The time is a literal, a
+   static constant, so the call boxes nothing either. *)
+let test_sender_fan_out () =
+  let sender = quiet_sender () in
+  let seen = ref 0 in
+  for _ = 1 to 3 do
+    Tcp.Sender_common.on_send sender (fun ~time:_ ~seq:_ ~retx:_ -> incr seen);
+    Tcp.Sender_common.on_ack sender (fun ~time:_ ~ackno:_ -> incr seen)
+  done;
+  check_budget "fire_send, three observers" ~budget:0.0
+    (words_per_op (fun () ->
+         Tcp.Sender_common.fire_send sender ~time:1.5 ~seq:7 ~retx:false));
+  check_budget "fire_ack, three observers" ~budget:0.0
+    (words_per_op (fun () ->
+         Tcp.Sender_common.fire_ack sender ~time:1.5 ~ackno:7));
+  Alcotest.(check int) "every observer saw every event"
+    (2 * 3 * (warmup + iterations))
+    !seen
+
+(* A send and an ACK through a binary tracer's [attach_sender]
+   subscription: two records stored into the staging area. *)
+let test_binary_traced_sender () =
+  let sender = quiet_sender () in
+  let agent =
+    {
+      Tcp.Agent.name = "probe";
+      flow = 0;
+      deliver_ack = ignore;
+      base = sender;
+      wants_sack = false;
+    }
+  in
+  Out_channel.with_open_bin "/dev/null" (fun out ->
+      let tracer = Audit.Trace.create ~format:`Binary ~out () in
+      Audit.Trace.attach_sender tracer agent;
+      check_budget "binary-traced send + ack" ~budget:0.0
+        (words_per_op (fun () ->
+             Tcp.Sender_common.fire_send sender ~time:1.5 ~seq:7 ~retx:false;
+             Tcp.Sender_common.fire_ack sender ~time:1.5 ~ackno:7)))
+
 (* [Loss.drop_list] keeps state only for segments a rule names: every
    other data segment passes without a counter, a key or a table
    entry, so the table no longer grows with the run. *)
@@ -180,5 +245,11 @@ let suite =
           test_audited_queue_event;
         Alcotest.test_case "drop_list unruled segment" `Quick
           test_drop_list_unruled;
+        Alcotest.test_case "binary-traced queue event" `Quick
+          test_binary_traced_queue_event;
+        Alcotest.test_case "sender fan-out, three observers" `Quick
+          test_sender_fan_out;
+        Alcotest.test_case "binary-traced send + ack" `Quick
+          test_binary_traced_sender;
       ] );
   ]

@@ -412,35 +412,166 @@ let test_binary_trace_roundtrip () =
     ];
   List.iter Sys.remove [ jsonl_path; binary_path; exported_path ]
 
+(* [run_traced]'s binary stream, recorded once for the checks
+   below. *)
+let traced_binary =
+  lazy
+    (let path = Filename.temp_file "rr_trace" ".rrtb" in
+     let out = open_out_bin path in
+     ignore (run_traced ~format:`Binary ~out () : Experiments.Scenario.t);
+     close_out out;
+     let data = read_file path in
+     Sys.remove path;
+     data)
+
+let export_string s =
+  let tmp = Filename.temp_file "rr_trace" ".bad" in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc s);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      In_channel.with_open_bin tmp (fun input ->
+          Out_channel.with_open_bin "/dev/null" (fun output ->
+              Audit.Trace.export ~input ~output)))
+
+(* The same export reading from a pipe, whose length the channel
+   cannot know. *)
+let export_piped s =
+  let read_end, write_end = Unix.pipe () in
+  let writer = Unix.out_channel_of_descr write_end in
+  output_string writer s;
+  close_out writer;
+  let input = Unix.in_channel_of_descr read_end in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr input)
+    (fun () ->
+      Out_channel.with_open_bin "/dev/null" (fun output ->
+          Audit.Trace.export ~input ~output))
+
+let varint n =
+  let buf = Buffer.create 10 in
+  let n = ref n in
+  while !n >= 0x80 do
+    Buffer.add_char buf (Char.chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.chr !n);
+  Buffer.contents buf
+
+(* The binary container's bytes for [run_traced], recorded before the
+   encoder was rewritten around a direct byte staging area: the
+   encoding may get cheaper, but never different. *)
+let binary_trace_md5 = "71d0c11be5f4a3b10c2de6bb4a5cc99f"
+
+let test_binary_trace_pinned () =
+  Alcotest.(check string) "binary trace md5" binary_trace_md5
+    (Digest.to_hex (Digest.string (Lazy.force traced_binary)))
+
 let test_binary_trace_corruption () =
-  let binary_path = Filename.temp_file "rr_trace" ".rrtb" in
-  let out = open_out_bin binary_path in
-  ignore (run_traced ~format:`Binary ~out () : Experiments.Scenario.t);
-  close_out out;
-  let data = read_file binary_path in
-  Sys.remove binary_path;
-  let export_string s =
-    let tmp = Filename.temp_file "rr_trace" ".bad" in
-    let oc = open_out_bin tmp in
-    output_string oc s;
-    close_out oc;
-    Fun.protect
-      ~finally:(fun () -> Sys.remove tmp)
-      (fun () ->
-        In_channel.with_open_bin tmp (fun input ->
-            Out_channel.with_open_bin "/dev/null" (fun output ->
-                Audit.Trace.export ~input ~output)))
-  in
-  let check_corrupt what s =
-    match export_string s with
+  let data = Lazy.force traced_binary in
+  let magic = String.sub data 0 5 in
+  let check_corrupt ?(export = export_string) what ~reason s =
+    match export s with
     | () -> Alcotest.failf "%s: export accepted a corrupt stream" what
-    | exception Audit.Trace.Corrupt _ -> ()
+    | exception Audit.Trace.Corrupt message ->
+      if not (contains ~needle:reason message) then
+        Alcotest.failf "%s: rejected for %S, expected %S" what message reason
   in
-  check_corrupt "bad magic" ("JUNK" ^ data);
-  check_corrupt "truncated record" (String.sub data 0 (String.length data - 1));
-  check_corrupt "empty file" "";
-  (* A healthy stream through the same harness still exports. *)
-  export_string data
+  check_corrupt "bad magic" ~reason:"bad magic" ("JUNK" ^ data);
+  check_corrupt "truncated record" ~reason:"overruns the input"
+    (String.sub data 0 (String.length data - 1));
+  check_corrupt "empty file" ~reason:"bad magic" "";
+  (* A 10-byte length varint overflows 63 bits; a 9-byte one with the
+     top bit set decodes negative. Neither may reach an allocation. *)
+  check_corrupt "10-byte length varint" ~reason:"longer than 9 bytes"
+    (magic ^ String.make 9 '\xff' ^ "\x7f");
+  check_corrupt "negative length varint" ~reason:"int range"
+    (magic ^ String.make 8 '\xff' ^ "\x7f");
+  check_corrupt "10-byte field varint" ~reason:"longer than 9 bytes"
+    (magic ^ "\x13\x00" ^ String.make 8 '\x00' ^ String.make 9 '\xff' ^ "\x7f");
+  (* A length beyond the rest of the input, from a file and from a
+     pipe, and a string length at the top of the int range. *)
+  check_corrupt "length beyond the input" ~reason:"overruns the input"
+    (magic ^ varint (1 lsl 40) ^ "x");
+  check_corrupt ~export:export_piped "piped length beyond the input"
+    ~reason:"truncated record"
+    (magic ^ varint (1 lsl 40) ^ "x");
+  check_corrupt "string length beyond the record" ~reason:"truncated string"
+    (magic ^ "\x0b\x0d\x00" ^ String.make 8 '\xff' ^ "\x3f");
+  (* A healthy stream through the same harnesses still exports. *)
+  export_string data;
+  export_piped data
+
+(* Damage to a stream — random bytes after the magic, a truncation, a
+   flipped byte — either still exports or raises [Corrupt]; any other
+   exception fails the property. *)
+let prop_export_total =
+  let damaged =
+    QCheck.Gen.(
+      oneof
+        [
+          map
+            (fun tail -> `Tail tail)
+            (string_size ~gen:char (int_bound 64));
+          map (fun cut -> `Cut cut) (int_bound 1_000_000);
+          map2 (fun at byte -> `Flip (at, byte)) (int_bound 1_000_000) char;
+        ])
+  in
+  let print = function
+    | `Tail tail -> Printf.sprintf "magic ^ %S" tail
+    | `Cut cut -> Printf.sprintf "truncated at %d" cut
+    | `Flip (at, byte) -> Printf.sprintf "byte %d set to %C" at byte
+  in
+  QCheck.Test.make ~name:"binary export: damage exports or raises Corrupt"
+    ~count:200 (QCheck.make ~print damaged) (fun damage ->
+      let data = Lazy.force traced_binary in
+      let n = String.length data in
+      let input =
+        match damage with
+        | `Tail tail -> String.sub data 0 5 ^ tail
+        | `Cut cut -> String.sub data 0 (cut mod (n + 1))
+        | `Flip (at, byte) ->
+          let bytes = Bytes.of_string data in
+          Bytes.set bytes (5 + (at mod (n - 5))) byte;
+          Bytes.to_string bytes
+      in
+      match export_string input with
+      | () -> true
+      | exception Audit.Trace.Corrupt _ -> true)
+
+(* A journal record whose payload is 128 bytes or more takes a 2-byte
+   length prefix, the one case where the encoder moves a finished
+   payload to make room. Its export must still be exactly the line a
+   JSONL tracer writes. *)
+let test_binary_long_record () =
+  let journal format out =
+    let tracer = Audit.Trace.create ~format ~out () in
+    Audit.Trace.journal_event tracer ~time:12.5 ~ev:"job_done"
+      [
+        ("job", Audit.Trace.Str (String.make 150 'x'));
+        ("attempt", Audit.Trace.Int 3);
+        ("wall", Audit.Trace.Float 0.125);
+        ("cached", Audit.Trace.Bool false);
+      ];
+    Audit.Trace.journal_event tracer ~time:13.0 ~ev:"short" [];
+    Audit.Trace.flush tracer
+  in
+  let jsonl_path = Filename.temp_file "rr_long" ".jsonl" in
+  let binary_path = Filename.temp_file "rr_long" ".rrtb" in
+  let exported_path = Filename.temp_file "rr_long" ".export.jsonl" in
+  Out_channel.with_open_bin jsonl_path (journal `Jsonl);
+  Out_channel.with_open_bin binary_path (journal `Binary);
+  In_channel.with_open_bin binary_path (fun input ->
+      Out_channel.with_open_bin exported_path (fun output ->
+          Audit.Trace.export ~input ~output));
+  let binary = read_file binary_path in
+  (* magic (5 bytes), then the first record's length prefix *)
+  Alcotest.(check bool) "first record has a 2-byte length prefix" true
+    (Char.code binary.[5] land 0x80 <> 0
+    && Char.code binary.[6] land 0x80 = 0);
+  Alcotest.(check string) "exported line equals the live JSONL"
+    (read_file jsonl_path) (read_file exported_path);
+  List.iter Sys.remove [ jsonl_path; binary_path; exported_path ]
 
 (* -- auditor sampling: cheaper checks, still zero false positives -- *)
 
@@ -478,33 +609,51 @@ let test_trace_flush_sizing () =
   (match Audit.Trace.create ~flush_at:0 ~out:stdout () with
   | _ -> Alcotest.fail "flush_at 0 must be rejected"
   | exception Invalid_argument _ -> ());
+  (* Journal lines plus queue events, so the binary stream also holds
+     a strdef record and references to it. *)
   let emit tracer n =
+    let engine = Sim.Engine.create () in
+    let queue = Net.Droptail.create ~capacity:4 () in
+    Audit.Trace.attach_queue tracer ~engine ~name:"q" queue;
     for i = 1 to n do
       Audit.Trace.journal_event tracer ~time:(float_of_int i) ~ev:"probe"
-        [ ("i", Audit.Trace.Int i) ]
+        [ ("i", Audit.Trace.Int i) ];
+      ignore
+        (queue.Net.Queue_disc.enqueue
+           (Net.Packet.data ~uid:i ~flow:0 ~seq:i ~size_bytes:1000 ~born:0.0)
+          : bool);
+      ignore (queue.Net.Queue_disc.dequeue () : Net.Packet.t option)
     done
   in
   (* A tiny threshold drains to the channel mid-stream, without an
-     explicit flush; the 64 KiB default keeps everything staged. *)
-  let tiny_path = Filename.temp_file "rr_flush" ".jsonl" in
-  let tiny_out = open_out tiny_path in
-  let tiny = Audit.Trace.create ~flush_at:64 ~out:tiny_out () in
-  emit tiny 20;
-  Alcotest.(check bool) "flush_at=64 drains before an explicit flush" true
-    (pos_out tiny_out > 0);
-  Audit.Trace.flush tiny;
-  close_out tiny_out;
-  let default_path = Filename.temp_file "rr_flush" ".jsonl" in
-  let default_out = open_out default_path in
-  let default_tracer = Audit.Trace.create ~out:default_out () in
-  emit default_tracer 20;
-  Alcotest.(check int) "default threshold stages everything" 0
-    (pos_out default_out);
-  Audit.Trace.flush default_tracer;
-  close_out default_out;
-  Alcotest.(check string) "both thresholds write the same bytes"
-    (read_file tiny_path) (read_file default_path);
-  List.iter Sys.remove [ tiny_path; default_path ]
+     explicit flush; the 64 KiB default keeps everything staged. Both
+     write the same bytes, in either format. *)
+  let run ?flush_at format =
+    let path = Filename.temp_file "rr_flush" ".trace" in
+    let out = open_out_bin path in
+    let tracer = Audit.Trace.create ?flush_at ~format ~out () in
+    emit tracer 20;
+    let staged_out = pos_out out in
+    Audit.Trace.flush tracer;
+    close_out out;
+    let data = read_file path in
+    Sys.remove path;
+    (staged_out, data)
+  in
+  List.iter
+    (fun (label, format) ->
+      let tiny_drained, tiny = run ~flush_at:64 format in
+      let default_drained, default = run format in
+      Alcotest.(check bool)
+        (label ^ ": flush_at=64 drains before an explicit flush")
+        true (tiny_drained > 0);
+      Alcotest.(check int)
+        (label ^ ": default threshold stages everything")
+        0 default_drained;
+      Alcotest.(check string)
+        (label ^ ": both thresholds write the same bytes")
+        tiny default)
+    [ ("jsonl", `Jsonl); ("binary", `Binary) ]
 
 let suite =
   [
@@ -532,6 +681,11 @@ let suite =
           test_binary_trace_roundtrip;
         Alcotest.test_case "binary trace export rejects corruption" `Quick
           test_binary_trace_corruption;
+        QCheck_alcotest.to_alcotest prop_export_total;
+        Alcotest.test_case "binary trace bytes pinned" `Quick
+          test_binary_trace_pinned;
+        Alcotest.test_case "binary long record exports exactly" `Quick
+          test_binary_long_record;
         Alcotest.test_case "auditor sampling" `Quick test_audit_sampling;
         Alcotest.test_case "tracer flush_at sizing" `Quick
           test_trace_flush_sizing;
