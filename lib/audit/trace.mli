@@ -1,11 +1,19 @@
-(** Event tracing into one of two sinks: JSONL lines or a compact
-    binary record stream.
+(** Event tracing, written as JSONL lines or as a compact binary
+    record stream.
 
     A tracer subscribes to the same multicast hooks as the auditor and
-    records every event it sees, in the format chosen at {!create}.
-    The channel is owned by the caller; the tracer only writes and
-    {!flush}es. Events are staged in an internal buffer and written out
-    in chunks, so callers must {!flush} before closing the channel.
+    records every event it sees. The channel is owned by the caller;
+    the tracer only writes and {!flush}es. Events are staged in an
+    internal buffer and written out in chunks, so callers must {!flush}
+    before closing the channel.
+
+    There is one encoder. Every event becomes a binary record (below)
+    on the simulation path, whichever format was chosen at {!create}; a
+    record is a few byte stores into the staging area and allocates
+    nothing (test/test_alloc.ml). A JSONL tracer renders its staged
+    records to text each time the staging area drains, through the same
+    renderer {!export} uses, so live and exported JSONL are the same
+    bytes by construction.
 
     {b JSONL} (the default) writes one JSON object per line. Events
     and their fields:
@@ -25,18 +33,21 @@
     sequence numbers, [uid] is the per-simulation packet id and [dup]
     marks ACKs that do not advance the flow's cumulative point.
 
-    {b Binary} ([~format:`Binary]) records the same events as a
-    length-prefixed stream: a ["RRTB"] magic + version header, then one
+    JSONL reaches the channel in chunks rendered from [flush_at] bytes
+    of binary records, about 5.6 times as much text per write as the
+    binary sink writes bytes. A reader tailing a live JSONL trace sees
+    it grow in those chunks; nothing in this repository reads a trace
+    before its run has finished.
+
+    {b Binary} ([~format:`Binary]) writes the staged records as they
+    are: a ["RRTB"] magic + version header, then one
     LEB128-length-prefixed record per event — tag byte, timestamp as
     the {!Sim.Timebits} int in 8 little-endian bytes, then
     varint/zigzag fields; queue and link names are interned and
     referenced by id after their first occurrence (the full layout is
-    documented in [trace.ml] and DESIGN.md). No text is formatted on
-    the simulation path: a record is a few byte stores into the
-    staging area and allocates nothing (test/test_alloc.ml). {!export}
-    converts such a stream back offline into exactly the JSONL the
-    default sink would have written — byte for byte, including the
-    recomputed ACK [dup] flags. *)
+    documented in [trace.ml] and DESIGN.md). {!export} renders such a
+    stream offline into exactly the JSONL a [`Jsonl] tracer writes —
+    byte for byte, including the recomputed ACK [dup] flags. *)
 
 type t
 
@@ -71,25 +82,6 @@ val attach_queue : t -> engine:Sim.Engine.t -> name:string -> Net.Queue_disc.t -
     v} *)
 val attach_injector : t -> Faults.Injector.t -> unit
 
-(** {1 Journal events}
-
-    The campaign layer reuses the tracer as the buffered JSONL writer
-    behind sweep run journals; unlike the simulation events above,
-    journal events are wall-clock stamped and carry ad-hoc fields. *)
-
-(** A journal field value; [Str] payloads are JSON-escaped on write. *)
-type field = Int of int | Float of float | Str of string | Bool of bool
-
-(** [journal_event t ~time ~ev fields] appends one event line
-
-    {v
-    {"t":<time>,"ev":"<ev>","<key>":<value>,...}
-    v}
-
-    with the fields in the order given. The line is staged like every
-    other trace line — call {!flush} to make it durable. *)
-val journal_event : t -> time:float -> ev:string -> (string * field) list -> unit
-
 (** [flush t] drains the staging buffer and flushes the underlying
     channel. *)
 val flush : t -> unit
@@ -103,10 +95,11 @@ exception Corrupt of string
 (** [export ~input ~output] reads a binary trace (as written by a
     [`Binary] tracer) from [input] and writes the equivalent JSONL to
     [output], byte-identical to what a [`Jsonl] tracer observing the
-    same events would have produced. Flushes [output]'s tracer staging
-    but leaves closing both channels to the caller.
+    same events would have produced. Flushes [output] but leaves
+    closing both channels to the caller.
 
-    @raise Corrupt on bad magic, truncation, undecodable records, a
-    varint longer than 9 bytes or outside the non-negative int range,
-    or a record length beyond the rest of the input. *)
+    @raise Corrupt on bad magic, truncation, undecodable records (the
+    reserved tag 12 included), a varint longer than 9 bytes or outside
+    the non-negative int range, or a record length beyond the rest of
+    the input. *)
 val export : input:in_channel -> output:out_channel -> unit

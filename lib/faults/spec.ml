@@ -119,7 +119,7 @@ let ( let* ) = Result.bind
 
 let parse_float ~what s =
   match float_of_string_opt s with
-  | Some f when f = f (* not nan *) -> Ok f
+  | Some f when Float.is_finite f -> Ok f
   | _ -> Error (Printf.sprintf "faults: bad %s %S" what s)
 
 let parse_pair ~what s =

@@ -93,7 +93,8 @@ val default_handover_levels : float list
 val flap_schedule : t -> rng:Sim.Rng.t -> until:float -> Schedule.t option
 
 (** [of_string s] parses the textual form. The empty string is
-    {!none}. *)
+    {!none}; every number must be finite ([inf] and [nan] are
+    rejected). *)
 val of_string : string -> (t, string) result
 
 (** [to_string t] renders the canonical textual form; a round-trip

@@ -10,6 +10,12 @@ let of_steps steps =
   let rec validate last = function
     | [] -> ()
     | { at; rate; delay } :: rest ->
+      let finite = function Some v -> Float.is_finite v | None -> true in
+      if not (Float.is_finite at) then
+        invalid_arg "Timeline.of_steps: non-finite time";
+      if not (finite rate) then invalid_arg "Timeline.of_steps: non-finite rate";
+      if not (finite delay) then
+        invalid_arg "Timeline.of_steps: non-finite delay";
       if at < 0.0 then invalid_arg "Timeline.of_steps: negative time";
       if at <= last then
         invalid_arg "Timeline.of_steps: steps not strictly increasing";

@@ -22,9 +22,10 @@ val is_empty : t -> bool
 
 (** [of_steps steps] validates and packages explicit steps.
 
-    @raise Invalid_argument unless times are non-negative and strictly
-    increasing, every step changes at least one of rate/delay, rates
-    are positive and delays non-negative. *)
+    @raise Invalid_argument unless every time, rate and delay is
+    finite, times are non-negative and strictly increasing, every step
+    changes at least one of rate/delay, rates are positive and delays
+    non-negative. *)
 val of_steps : step list -> t
 
 (** [of_string s] parses the textual step form used by

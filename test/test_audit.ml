@@ -498,6 +498,9 @@ let test_binary_trace_corruption () =
     (magic ^ varint (1 lsl 40) ^ "x");
   check_corrupt "string length beyond the record" ~reason:"truncated string"
     (magic ^ "\x0b\x0d\x00" ^ String.make 8 '\xff' ^ "\x3f");
+  (* Tag 12 once held campaign journal records; it stays reserved. *)
+  check_corrupt "reserved tag 12" ~reason:"unknown record tag 12"
+    (magic ^ "\x09\x0c" ^ String.make 8 '\x00');
   (* A healthy stream through the same harnesses still exports. *)
   export_string data;
   export_piped data
@@ -539,39 +542,165 @@ let prop_export_total =
       | () -> true
       | exception Audit.Trace.Corrupt _ -> true)
 
-(* A journal record whose payload is 128 bytes or more takes a 2-byte
-   length prefix, the one case where the encoder moves a finished
-   payload to make room. Its export must still be exactly the line a
-   JSONL tracer writes. *)
-let test_binary_long_record () =
-  let journal format out =
-    let tracer = Audit.Trace.create ~format ~out () in
-    Audit.Trace.journal_event tracer ~time:12.5 ~ev:"job_done"
-      [
-        ("job", Audit.Trace.Str (String.make 150 'x'));
-        ("attempt", Audit.Trace.Int 3);
-        ("wall", Audit.Trace.Float 0.125);
-        ("cached", Audit.Trace.Bool false);
-      ];
-    Audit.Trace.journal_event tracer ~time:13.0 ~ev:"short" [];
-    Audit.Trace.flush tracer
+(* -- queue events through [attach_queue], for the tests below -- *)
+
+type queue_op = Enqueue of Net.Packet.t | Dequeue
+
+(* Run [ops] — (engine time, queue index, operation) — against
+   2-packet drop-tail queues named [names], every queue attached to a
+   tracer in [format]; an enqueue beyond capacity is a drop. [observe]
+   subscribes after the tracer, so it sees each event just after the
+   tracer does. Returns the bytes written before the final flush and
+   the whole output. *)
+let trace_queue_ops ?flush_at ?(observe = fun ~engine:_ ~name:_ _ -> ())
+    ~format ~names ops =
+  let path = Filename.temp_file "rr_queue" ".trace" in
+  let out = open_out_bin path in
+  let tracer = Audit.Trace.create ?flush_at ~format ~out () in
+  let engine = Sim.Engine.create () in
+  let queues =
+    Array.map
+      (fun name ->
+        let queue = Net.Droptail.create ~capacity:2 () in
+        Audit.Trace.attach_queue tracer ~engine ~name queue;
+        observe ~engine ~name queue;
+        queue)
+      names
   in
-  let jsonl_path = Filename.temp_file "rr_long" ".jsonl" in
-  let binary_path = Filename.temp_file "rr_long" ".rrtb" in
-  let exported_path = Filename.temp_file "rr_long" ".export.jsonl" in
-  Out_channel.with_open_bin jsonl_path (journal `Jsonl);
-  Out_channel.with_open_bin binary_path (journal `Binary);
-  In_channel.with_open_bin binary_path (fun input ->
-      Out_channel.with_open_bin exported_path (fun output ->
+  List.iter
+    (fun (time, index, op) ->
+      let queue = queues.(index) in
+      Sim.Engine.schedule_unit_at engine ~time (fun () ->
+          match op with
+          | Enqueue p -> ignore (queue.Net.Queue_disc.enqueue p : bool)
+          | Dequeue ->
+            ignore (queue.Net.Queue_disc.dequeue () : Net.Packet.t option)))
+    ops;
+  Sim.Engine.run engine;
+  let staged_out = pos_out out in
+  Audit.Trace.flush tracer;
+  close_out out;
+  let data = read_file path in
+  Sys.remove path;
+  (staged_out, data)
+
+(* A data and an ACK segment through one queue per name, the
+   [i]-th round at time [i]. *)
+let queue_rounds ~queues n =
+  List.concat
+    (List.init n (fun i ->
+         List.concat_map
+           (fun q ->
+             let time = float_of_int i in
+             [
+               (time, q, Enqueue (packet ~uid:(2 * i) ~seq:i));
+               ( time,
+                 q,
+                 Enqueue
+                   (Net.Packet.ack ~uid:((2 * i) + 1) ~flow:1 ~ackno:i
+                      ~size_bytes:40 ~born:0.0 ()) );
+               (time, q, Dequeue);
+               (time, q, Dequeue);
+             ])
+           (List.init queues Fun.id)))
+
+let export_to_string data =
+  let path = Filename.temp_file "rr_export" ".jsonl" in
+  let tmp = Filename.temp_file "rr_export" ".rrtb" in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc data);
+  In_channel.with_open_bin tmp (fun input ->
+      Out_channel.with_open_bin path (fun output ->
           Audit.Trace.export ~input ~output));
-  let binary = read_file binary_path in
+  let text = read_file path in
+  List.iter Sys.remove [ path; tmp ];
+  text
+
+(* A queue name of 128 bytes or more makes its strdef payload long
+   enough for a 2-byte length prefix, the one case where the encoder
+   moves a finished payload to make room. The live JSONL must still
+   equal the export of the binary stream. *)
+let test_binary_long_record () =
+  let names = [| String.make 150 'q'; "short" |] in
+  let ops = queue_rounds ~queues:2 3 in
+  let _, jsonl = trace_queue_ops ~format:`Jsonl ~names ops in
+  let _, binary = trace_queue_ops ~format:`Binary ~names ops in
   (* magic (5 bytes), then the first record's length prefix *)
   Alcotest.(check bool) "first record has a 2-byte length prefix" true
     (Char.code binary.[5] land 0x80 <> 0
     && Char.code binary.[6] land 0x80 = 0);
-  Alcotest.(check string) "exported line equals the live JSONL"
-    (read_file jsonl_path) (read_file exported_path);
-  List.iter Sys.remove [ jsonl_path; binary_path; exported_path ]
+  check_contains "long name rendered" ("\"queue\":\"" ^ names.(0) ^ "\"") jsonl;
+  Alcotest.(check string) "exported lines equal the live JSONL" jsonl
+    (export_to_string binary)
+
+(* -- the renderer against the Printf line formats it replaced -- *)
+
+let reference_packet_fields (packet : Net.Packet.t) =
+  if Net.Packet.is_data packet then
+    Printf.sprintf {|"flow":%d,"kind":"data","seq":%d,"uid":%d|} packet.flow
+      (Net.Packet.seq_exn packet) packet.uid
+  else
+    Printf.sprintf {|"flow":%d,"kind":"ack","ackno":%d,"uid":%d|} packet.flow
+      (Net.Packet.ackno_exn packet) packet.uid
+
+let reference_queue_line ~time ~ev ~name packet =
+  Printf.sprintf {|{"t":%.6f,"ev":"%s","queue":"%s",%s}|} time ev name
+    (reference_packet_fields packet)
+
+(* Random data and ACK segments (sequence numbers from the
+   pre-handshake -1 up) enqueued, dropped and dequeued at random engine
+   times, through queues with short and long names and
+   a random staging threshold: the [`Jsonl] tracer writes exactly the
+   reference lines, in order. *)
+let prop_jsonl_matches_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 2,
+            map3
+              (fun flow seq uid ->
+                Enqueue
+                  (Net.Packet.data ~uid ~flow ~seq ~size_bytes:1000 ~born:0.0))
+              (int_bound 50) (int_range (-1) 1_000_000) (int_bound 100_000) );
+          ( 2,
+            map3
+              (fun flow ackno uid ->
+                Enqueue
+                  (Net.Packet.ack ~uid ~flow ~ackno ~size_bytes:40 ~born:0.0 ()))
+              (int_bound 50) (int_range (-1) 1_000_000) (int_bound 100_000) );
+          (3, return Dequeue);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 16 512)
+        (list_size (int_bound 200)
+           (triple (float_bound_exclusive 100.0) (int_bound 2) op)))
+  in
+  let print (flush_at, ops) =
+    Printf.sprintf "flush_at %d, %d ops" flush_at (List.length ops)
+  in
+  QCheck.Test.make ~name:"jsonl tracer matches the Printf reference"
+    ~count:100 (QCheck.make ~print gen) (fun (flush_at, ops) ->
+      let names = [| "gateway"; "q"; String.make 130 'n' |] in
+      let reference = ref [] in
+      let observe ~engine ~name queue =
+        Net.Queue_disc.subscribe queue (fun event packet ->
+            let ev =
+              match event with
+              | Net.Queue_disc.Enqueued -> "enqueue"
+              | Net.Queue_disc.Dropped -> "drop"
+              | Net.Queue_disc.Dequeued -> "dequeue"
+            in
+            reference :=
+              reference_queue_line ~time:(Sim.Engine.now engine) ~ev ~name packet
+              :: !reference)
+      in
+      let _, jsonl = trace_queue_ops ~flush_at ~observe ~format:`Jsonl ~names ops in
+      let expected =
+        String.concat "" (List.rev_map (fun line -> line ^ "\n") !reference)
+      in
+      String.equal jsonl expected)
 
 (* -- auditor sampling: cheaper checks, still zero false positives -- *)
 
@@ -609,41 +738,16 @@ let test_trace_flush_sizing () =
   (match Audit.Trace.create ~flush_at:0 ~out:stdout () with
   | _ -> Alcotest.fail "flush_at 0 must be rejected"
   | exception Invalid_argument _ -> ());
-  (* Journal lines plus queue events, so the binary stream also holds
-     a strdef record and references to it. *)
-  let emit tracer n =
-    let engine = Sim.Engine.create () in
-    let queue = Net.Droptail.create ~capacity:4 () in
-    Audit.Trace.attach_queue tracer ~engine ~name:"q" queue;
-    for i = 1 to n do
-      Audit.Trace.journal_event tracer ~time:(float_of_int i) ~ev:"probe"
-        [ ("i", Audit.Trace.Int i) ];
-      ignore
-        (queue.Net.Queue_disc.enqueue
-           (Net.Packet.data ~uid:i ~flow:0 ~seq:i ~size_bytes:1000 ~born:0.0)
-          : bool);
-      ignore (queue.Net.Queue_disc.dequeue () : Net.Packet.t option)
-    done
-  in
-  (* A tiny threshold drains to the channel mid-stream, without an
-     explicit flush; the 64 KiB default keeps everything staged. Both
-     write the same bytes, in either format. *)
-  let run ?flush_at format =
-    let path = Filename.temp_file "rr_flush" ".trace" in
-    let out = open_out_bin path in
-    let tracer = Audit.Trace.create ?flush_at ~format ~out () in
-    emit tracer 20;
-    let staged_out = pos_out out in
-    Audit.Trace.flush tracer;
-    close_out out;
-    let data = read_file path in
-    Sys.remove path;
-    (staged_out, data)
-  in
+  (* Queue events, so the binary stream also holds a strdef record and
+     references to it. A tiny threshold drains to the channel
+     mid-stream, without an explicit flush; the 64 KiB default keeps
+     everything staged. Both write the same bytes, in either format. *)
+  let ops = queue_rounds ~queues:1 20 in
   List.iter
     (fun (label, format) ->
-      let tiny_drained, tiny = run ~flush_at:64 format in
-      let default_drained, default = run format in
+      let run ?flush_at () = trace_queue_ops ?flush_at ~format ~names:[| "q" |] ops in
+      let tiny_drained, tiny = run ~flush_at:64 () in
+      let default_drained, default = run () in
       Alcotest.(check bool)
         (label ^ ": flush_at=64 drains before an explicit flush")
         true (tiny_drained > 0);
@@ -686,6 +790,7 @@ let suite =
           test_binary_trace_pinned;
         Alcotest.test_case "binary long record exports exactly" `Quick
           test_binary_long_record;
+        QCheck_alcotest.to_alcotest prop_jsonl_matches_reference;
         Alcotest.test_case "auditor sampling" `Quick test_audit_sampling;
         Alcotest.test_case "tracer flush_at sizing" `Quick
           test_trace_flush_sizing;

@@ -452,6 +452,60 @@ let test_journal_resume_roundtrip () =
        (Campaign.Journal.resume ~path
           ~sweep:(Campaign.Sweep.sweep_digest other)))
 
+(* Journals written before the journal rendered its own JSON stamped
+   "t" with "%.6f" and escaped strings by hand. Such a file must still
+   load and resume, and a journal written now must carry the same
+   escaped failure text through a load. *)
+let awkward_failure = "crashed: \"quoted\" back\\slash\nnext\tline \001 end"
+
+let awkward_failure_json =
+  {|"crashed: \"quoted\" back\\slash\nnext\tline \u0001 end"|}
+
+let test_journal_format_compatibility () =
+  let dir = Campaign.Cache.dir (temp_cache_dir ()) in
+  let path = Filename.concat dir "journal.jsonl" in
+  let sweep = "0123456789abcdef0123456789abcdef" in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter
+        (fun line -> output_string oc (line ^ "\n"))
+        [
+          {|{"t":1722947193.214113,"ev":"sweep_start","schema":"rr-sim-journal/1","sweep":"|}
+          ^ sweep ^ {|","total":3}|};
+          {|{"t":1722947193.500000,"ev":"job_settled","digest":"d1"}|};
+          {|{"t":1722947194.000001,"ev":"job_retry","digest":"d2","attempt":1,"failure":|}
+          ^ awkward_failure_json ^ "}";
+          {|{"t":1722947194.250000,"ev":"job_failed","digest":"d2","failure":|}
+          ^ awkward_failure_json ^ "}";
+        ]);
+  let check_snapshot label ~settled ~failed =
+    match Campaign.Journal.load ~path with
+    | Error message -> Alcotest.failf "%s: journal unreadable: %s" label message
+    | Ok snapshot ->
+      Alcotest.(check string) (label ^ ": sweep") sweep
+        snapshot.Campaign.Journal.sweep;
+      Alcotest.(check (list string)) (label ^ ": settled") settled
+        snapshot.Campaign.Journal.settled;
+      Alcotest.(check (list (pair string string))) (label ^ ": failed") failed
+        snapshot.Campaign.Journal.failed
+  in
+  check_snapshot "old format" ~settled:[ "d1" ]
+    ~failed:[ ("d2", awkward_failure) ];
+  (match Campaign.Journal.resume ~path ~sweep with
+  | Error message -> Alcotest.failf "resume refused: %s" message
+  | Ok (journal, _) ->
+    Campaign.Journal.settled journal ~digest:"d2";
+    Campaign.Journal.failed journal ~digest:"d3" ~failure:awkward_failure;
+    Campaign.Journal.close journal);
+  check_snapshot "resumed" ~settled:[ "d1"; "d2" ]
+    ~failed:[ ("d3", awkward_failure) ];
+  (* The appended lines escape exactly as the old writer did and keep
+     the key order; only the stamp's digits may differ. *)
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  check_contains "new failure line" ({|"ev":"job_failed","digest":"d3","failure":|}
+    ^ awkward_failure_json ^ "}\n") text;
+  check_contains "resume line" {|"ev":"sweep_resume","sweep":"|} text;
+  Sys.remove path
+
 (* -- summary statistics -- *)
 
 let test_summary () =
@@ -525,6 +579,8 @@ let suite =
           test_interrupted_sweep_keeps_finished_work;
         Alcotest.test_case "journal resume roundtrip" `Slow
           test_journal_resume_roundtrip;
+        Alcotest.test_case "journal format compatibility" `Quick
+          test_journal_format_compatibility;
         Alcotest.test_case "summary stats" `Quick test_summary;
         Alcotest.test_case "registry" `Quick test_registry_unique_and_complete;
       ] );

@@ -392,6 +392,40 @@ let test_timeline_string_form () =
       "@5+400000@2+500000" (* times must increase *);
     ]
 
+(* Non-finite numbers are rejected with a diagnostic by both DSLs:
+   each once reached the simulation (an uncaught exception, or a flow
+   stalled by an infinite jitter bound). *)
+let test_dsls_reject_non_finite () =
+  let check what parse cases =
+    List.iter
+      (fun (s, expected) ->
+        match parse s with
+        | Ok _ -> Alcotest.failf "%s %S should not parse" what s
+        | Error message ->
+          Alcotest.(check string) (Printf.sprintf "%s %S" what s) expected message)
+      cases
+  in
+  check "faults" Faults.Spec.of_string
+    [
+      ("asym:inf", {|faults: bad asym ratio "inf"|});
+      ("jitter:inf", {|faults: bad jitter bound "inf"|});
+      ("flap:inf+0.3", {|faults: bad flap period "inf"|});
+      ("reorder:0.1:nan", {|faults: bad reorder max extra "nan"|});
+    ];
+  check "timeline" Faults.Timeline.of_string
+    [
+      ("@nan+1", "Timeline.of_steps: non-finite time");
+      ("@inf+400000", "Timeline.of_steps: non-finite time");
+      ("@1+inf", "Timeline.of_steps: non-finite rate");
+      ("@1+-+inf", "Timeline.of_steps: non-finite delay");
+    ];
+  Alcotest.check_raises "of_steps rejects an infinite rate"
+    (Invalid_argument "Timeline.of_steps: non-finite rate") (fun () ->
+      ignore
+        (Faults.Timeline.of_steps
+           [ { Faults.Timeline.at = 1.0; rate = Some infinity; delay = None } ]
+          : Faults.Timeline.t))
+
 (* -- properties over whole scenarios -- *)
 
 let run_faulted ?(variant = Core.Variant.Rr) ?(seed = 7L) ?(duration = 5.0)
@@ -581,6 +615,8 @@ let suite =
         Alcotest.test_case "jitter preserves FIFO" `Quick
           test_jitter_preserves_fifo;
         Alcotest.test_case "spec parse" `Quick test_spec_parse;
+        Alcotest.test_case "DSLs reject non-finite numbers" `Quick
+          test_dsls_reject_non_finite;
         Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
         Alcotest.test_case "spec rejects garbage" `Quick
           test_spec_rejects_garbage;
