@@ -1,8 +1,11 @@
 (* rr-sim — command-line front end for the Robust-Recovery reproduction.
 
-   One sub-command per paper artifact (fig5, fig6, fig7, table5), plus
-   the RR design ablations, a free-form [run] command for ad-hoc
-   dumbbell scenarios, and [all] to regenerate everything. *)
+   One sub-command per {!Experiments.Registry} entry (the paper's
+   figures and tables plus the extension studies), generated from the
+   registry; a handful keep flags of their own. Beside them: the
+   invariant [audit] sweep, a free-form [run] command for ad-hoc
+   scenarios, the [sweep] campaign runner, [trace] tooling, and
+   [list]/[all] over the registry. *)
 
 open Cmdliner
 
@@ -10,12 +13,14 @@ let seed_arg =
   let doc = "Random seed for stochastic components (RED, loss injection)." in
   Arg.(value & opt int64 7L & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let variant_conv =
-  let parse s =
-    Result.map_error (fun message -> `Msg message) (Core.Variant.of_string s)
-  in
-  let print ppf v = Format.pp_print_string ppf (Core.Variant.name v) in
-  Arg.conv ~docv:"VARIANT" (parse, print)
+(* A converter from a library's parser and printer: each CLI spelling
+   has one owner, next to its type. *)
+let conv ~docv parse print =
+  Arg.conv ~docv
+    ( (fun s -> Result.map_error (fun message -> `Msg message) (parse s)),
+      fun ppf v -> Format.pp_print_string ppf (print v) )
+
+let variant_conv = conv ~docv:"VARIANT" Core.Variant.of_string Core.Variant.name
 
 let csv_arg =
   let doc =
@@ -23,13 +28,26 @@ let csv_arg =
   in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
 
-let write_csv dir name contents =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir name in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
+(* Every file the CLI writes goes through here, so an unwritable path is
+   a one-line diagnostic and exit status 2 rather than an uncaught
+   [Sys_error] (cmdliner's "internal error", status 125). *)
+let cannot_write message =
+  Printf.eprintf "rr-sim: cannot write %s\n" message;
+  exit 2
+
+let with_output path f =
+  match Out_channel.open_bin path with
+  | oc -> Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc)
+  | exception Sys_error message -> cannot_write message
+
+let write_output path contents =
+  with_output path (fun oc -> output_string oc contents);
   Printf.printf "wrote %s\n" path
+
+let write_csv dir name contents =
+  (if not (Sys.file_exists dir) then
+     try Sys.mkdir dir 0o755 with Sys_error message -> cannot_write message);
+  write_output (Filename.concat dir name) contents
 
 (* fig5 *)
 
@@ -58,14 +76,6 @@ let fig5_term =
         (Experiments.Fig5.report (Experiments.Fig5.run ~drops ~measure_window:window ~seed ()))
   in
   Term.(const run $ drops $ window $ background $ seed_arg)
-
-let fig5_cmd =
-  Cmd.v
-    (Cmd.info "fig5"
-       ~doc:
-         "Figure 5: effective throughput during recovery from bursty loss \
-          under drop-tail gateways.")
-    fig5_term
 
 (* fig6 *)
 
@@ -122,14 +132,6 @@ let fig6_term =
   in
   Term.(const run $ plots $ duration $ only_variant $ seed_arg $ csv_arg)
 
-let fig6_cmd =
-  Cmd.v
-    (Cmd.info "fig6"
-       ~doc:
-         "Figure 6: sequence-number dynamics and effective throughput under \
-          RED gateways with ten staggered flows.")
-    fig6_term
-
 (* fig7 *)
 
 let fig7_term =
@@ -157,30 +159,6 @@ let fig7_term =
   in
   Term.(const run $ duration $ runs $ delack $ seed_arg)
 
-let fig7_cmd =
-  Cmd.v
-    (Cmd.info "fig7"
-       ~doc:
-         "Figure 7: fitness of RR and SACK to the square-root throughput \
-          model under uniform random loss.")
-    fig7_term
-
-(* table5 *)
-
-let table5_term =
-  let run seed =
-    print_string (Experiments.Table5.report (Experiments.Table5.run ~seed ()))
-  in
-  Term.(const run $ seed_arg)
-
-let table5_cmd =
-  Cmd.v
-    (Cmd.info "table5"
-       ~doc:
-         "Table 5: fairness of RR against TCP Reno (transfer delay and loss \
-          rate of a 100 KB flow).")
-    table5_term
-
 (* ablation *)
 
 let ablation_term =
@@ -193,72 +171,114 @@ let ablation_term =
   in
   Term.(const run $ drops)
 
-let ablation_cmd =
-  Cmd.v
-    (Cmd.info "ablation" ~doc:"RR design-decision ablation benchmarks.")
-    ablation_term
+(* modelcheck: model-vs-measured validation of the modeled variants *)
 
-(* extension experiments *)
+let modelcheck_term =
+  let variants =
+    let doc =
+      "Comma-separated variants to validate (default: every modeled one)."
+    in
+    Arg.(
+      value
+      & opt (list ~sep:',' variant_conv) Experiments.Modelcheck.default_variants
+      & info [ "variants" ] ~docv:"V,V,..." ~doc)
+  in
+  let losses =
+    let doc = "Comma-separated uniform loss rates to validate at." in
+    Arg.(
+      value
+      & opt (list ~sep:',' float) Experiments.Modelcheck.default_loss_rates
+      & info [ "loss" ] ~docv:"RATES" ~doc)
+  in
+  let seeds =
+    let doc = "Number of seeds averaged per cell (1-5)." in
+    Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N" ~doc)
+  in
+  let duration =
+    let doc = "Per-run simulation length in seconds." in
+    Arg.(value & opt float 100.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  in
+  let rrr_level =
+    let doc = "Congestion level the rrr variant (and its model) runs at." in
+    Arg.(value & opt float 0.5 & info [ "rrr-level" ] ~docv:"LEVEL" ~doc)
+  in
+  let check =
+    let doc =
+      "Exit non-zero if any cell's |deviation| exceeds $(docv) (e.g. 0.15). \
+       Without it the report is informational."
+    in
+    Arg.(value & opt (some float) None & info [ "check" ] ~docv:"TOL" ~doc)
+  in
+  let run variants losses seeds duration rrr_level check =
+    (if rrr_level <= 0.0 || rrr_level >= 1.0 then begin
+       Printf.eprintf "rr-sim: --rrr-level must be inside (0, 1)\n";
+       exit 2
+     end);
+    let all_seeds = [ 3L; 17L; 29L; 101L; 2048L ] in
+    (if seeds < 1 || seeds > List.length all_seeds then begin
+       Printf.eprintf "rr-sim: --seeds must be 1-%d\n" (List.length all_seeds);
+       exit 2
+     end);
+    let seeds = List.filteri (fun i _ -> i < seeds) all_seeds in
+    let outcome =
+      Experiments.Modelcheck.run ~variants ~loss_rates:losses ~seeds ~duration
+        ~rrr_level ()
+    in
+    print_string (Experiments.Modelcheck.report outcome);
+    Option.iter
+      (fun tolerance ->
+        let over =
+          List.concat_map
+            (fun point ->
+              List.filter_map
+                (fun row ->
+                  if Float.abs row.Experiments.Modelcheck.deviation > tolerance
+                  then
+                    Some
+                      (Printf.sprintf "%s at p=%g: %+.1f%%"
+                         (Core.Variant.name row.Experiments.Modelcheck.variant)
+                         point.Experiments.Modelcheck.loss_rate
+                         (100.0 *. row.Experiments.Modelcheck.deviation))
+                  else None)
+                point.Experiments.Modelcheck.rows)
+            outcome.Experiments.Modelcheck.points
+        in
+        if over <> [] then begin
+          Printf.printf "\n%d cell(s) beyond the %.0f%% tolerance:\n%s\n"
+            (List.length over) (100.0 *. tolerance)
+            (String.concat "\n" over);
+          exit 1
+        end)
+      check
+  in
+  Term.(
+    const run $ variants $ losses $ seeds $ duration
+    $ rrr_level $ check)
 
-(* A report command with no options of its own. *)
-let report_term report run =
-  Term.(const (fun () -> print_string (report (run ()))) $ const ())
+(* The artifact commands: one per registry entry, documented by its
+   synopsis. An entry listed here keeps its own flags; every other one
+   takes --seed alone and prints [e.run ~seed], the report [all] prints
+   under its banner. *)
 
-let ack_loss_cmd =
-  Cmd.v
-    (Cmd.info "ackloss"
-       ~doc:
-         "ACK-loss robustness of recovery (paper section 2.3): burst recovery \
-          under reverse-path drops.")
-    (report_term Experiments.Ack_loss.report Experiments.Ack_loss.run)
+let own_terms =
+  [
+    ("fig5", fig5_term);
+    ("fig6", fig6_term);
+    ("fig7", fig7_term);
+    ("ablation", ablation_term);
+    ("modelcheck", modelcheck_term);
+  ]
 
-let sync_cmd =
-  Cmd.v
-    (Cmd.info "sync"
-       ~doc:
-         "Global synchronization and fairness: drop-tail vs RED gateways \
-          (paper section 3.3 motivation).")
-    (report_term Experiments.Sync.report Experiments.Sync.run)
-
-let smooth_cmd =
-  Cmd.v
-    (Cmd.info "smooth"
-       ~doc:
-         "Smooth-Start extension (paper reference [21]): slow-start overshoot \
-          control.")
-    (report_term Experiments.Smooth.report Experiments.Smooth.run)
-
-let rtt_cmd =
-  Cmd.v
-    (Cmd.info "rtt"
-       ~doc:
-         "RTT fairness: AIMD convergence with equal RTTs (paper section 5) \
-          and the short-RTT bias with unequal ones.")
-    (report_term Experiments.Rtt_fairness.report Experiments.Rtt_fairness.run)
-
-let sensitivity_cmd =
-  Cmd.v
-    (Cmd.info "sensitivity"
-       ~doc:
-         "Robustness sweep: the Figure 5 ordering across gateway buffer sizes \
-          and propagation delays.")
-    (report_term Experiments.Sensitivity.report Experiments.Sensitivity.run)
-
-let two_way_cmd =
-  Cmd.v
-    (Cmd.info "twoway"
-       ~doc:
-         "Two-way traffic (paper reference [22]): ACK compression and loss \
-          when data flows in both directions.")
-    (report_term Experiments.Two_way.report Experiments.Two_way.run)
-
-let vegas_cmd =
-  Cmd.v
-    (Cmd.info "vegas"
-       ~doc:
-         "Vegas decomposition (paper reference [8]): does Vegas' gain come \
-          from recovery or congestion avoidance?")
-    (report_term Experiments.Vegas_claim.report Experiments.Vegas_claim.run)
+let artifact_cmds =
+  List.map
+    (fun (e : Experiments.Registry.t) ->
+      let term =
+        match List.assoc_opt e.name own_terms with
+        | Some term -> term
+        | None -> Term.(const (fun seed -> print_string (e.run ~seed)) $ seed_arg)
+      in
+      Cmd.v (Cmd.info e.name ~doc:e.synopsis) term)
+    Experiments.Registry.all
 
 (* audit: invariant sweep over every variant and scenario shape *)
 
@@ -339,24 +359,13 @@ let audit_cmd =
 
 (* run: ad-hoc scenario *)
 
-let faults_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Faults.Spec.of_string s) in
-  let print ppf spec = Format.pp_print_string ppf (Faults.Spec.to_string spec) in
-  Arg.conv ~docv:"SPEC" (parse, print)
+let faults_conv = conv ~docv:"SPEC" Faults.Spec.of_string Faults.Spec.to_string
 
 let timeline_conv =
-  let parse s =
-    Result.map_error (fun m -> `Msg m) (Faults.Timeline.of_string s)
-  in
-  let print ppf t = Format.pp_print_string ppf (Faults.Timeline.to_string t) in
-  Arg.conv ~docv:"STEPS" (parse, print)
+  conv ~docv:"STEPS" Faults.Timeline.of_string Faults.Timeline.to_string
 
 let rto_conv =
-  let parse s =
-    Result.map_error (fun m -> `Msg m) (Tcp.Rto.estimator_of_string s)
-  in
-  let print ppf e = Format.pp_print_string ppf (Tcp.Rto.estimator_name e) in
-  Arg.conv ~docv:"ESTIMATOR" (parse, print)
+  conv ~docv:"ESTIMATOR" Tcp.Rto.estimator_of_string Tcp.Rto.estimator_name
 
 let cross_conv =
   let parse s =
@@ -627,16 +636,9 @@ let run_term =
         let config =
           { (Net.Dumbbell.paper_config ~flows:total) with gateway }
         in
-        let spec, endpoints =
-          Net.Topology.parking_lot ~hops ~long_flows:flows ~cross_per_hop:1
-            ~config ()
-        in
         ( total,
-          Experiments.Scenario.graph ~bottleneck:"bottleneck0"
-            ~loss_link:"bottleneck0"
-            ~ack_loss_link:(Printf.sprintf "rbottleneck%d" (hops - 1))
-            ~flap_links:[ "bottleneck0"; "rbottleneck0" ]
-            ~spec ~endpoints () )
+          Experiments.Scenario.parking_lot ~hops ~long_flows:flows
+            ~cross_per_hop:1 ~config () )
       | Run_fat_tree pods ->
         let total = pods * flows in
         let config =
@@ -650,30 +652,29 @@ let run_term =
             ~ack_loss_link:"down0" ~flap_links:[ "up0"; "down0" ] ~spec
             ~endpoints () )
     in
-    let trace_channel = Option.map open_out trace in
-    (* Close (and thereby flush) the JSONL trace on every exit path,
-       including a raising run — otherwise the tail of the trace is
-       lost exactly when it is most needed. *)
+    let run_scenario trace_out =
+      Experiments.Scenario.run
+        (Experiments.Scenario.make ~topology:scenario_topology
+           ~flows:(List.init tcp_flows (fun _ -> Experiments.Scenario.flow variant))
+           ~params:
+             {
+               Tcp.Params.default with
+               rwnd;
+               limited_transmit;
+               rto_estimator = rto;
+               rrr_level;
+             }
+           ~seed ~duration ~uniform_loss:loss ~ack_loss ~delayed_ack:delack
+           ~monitor_queue:0.1 ?trace_out ~trace_format ~audit_sample ~faults
+           ?link_schedule ~cross ())
+    in
+    (* [with_output] closes (and thereby flushes) the trace on every exit
+       path, including a raising run — otherwise the tail of the trace
+       is lost exactly when it is most needed. *)
     let t =
-      Fun.protect
-        ~finally:(fun () -> Option.iter close_out_noerr trace_channel)
-        (fun () ->
-          let spec =
-            Experiments.Scenario.make ~topology:scenario_topology
-              ~flows:(List.init tcp_flows (fun _ -> Experiments.Scenario.flow variant))
-              ~params:
-                {
-                  Tcp.Params.default with
-                  rwnd;
-                  limited_transmit;
-                  rto_estimator = rto;
-                  rrr_level;
-                }
-              ~seed ~duration ~uniform_loss:loss ~ack_loss ~delayed_ack:delack
-              ~monitor_queue:0.1 ?trace_out:trace_channel ~trace_format
-              ~audit_sample ~faults ?link_schedule ~cross ()
-          in
-          Experiments.Scenario.run spec)
+      match trace with
+      | Some path -> with_output path (fun oc -> run_scenario (Some oc))
+      | None -> run_scenario None
     in
     Option.iter (fun path -> Printf.printf "wrote %s\n" path) trace;
     let mss = Tcp.Params.default.Tcp.Params.mss in
@@ -755,11 +756,7 @@ let run_term =
           t.Experiments.Scenario.queue_occupancy)
       csv;
     Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Experiments.Scenario.tracefile t);
-        close_out oc;
-        Printf.printf "wrote %s\n" path)
+      (fun path -> write_output path (Experiments.Scenario.tracefile t))
       tracefile;
     if audit then begin
       print_newline ();
@@ -782,48 +779,11 @@ let run_cmd =
 (* sweep: parallel campaign over a grid of scenario points *)
 
 let gateway_conv =
-  let parse s =
-    let invalid () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "invalid gateway %S (expected droptail[:BUFFER] or red[:BUFFER])" s))
-    in
-    match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-    | [ "droptail" ] -> Ok (Campaign.Job.Droptail 8)
-    | [ "red" ] -> Ok (Campaign.Job.Red 25)
-    | [ "droptail"; buffer ] -> (
-      match int_of_string_opt buffer with
-      | Some b when b > 0 -> Ok (Campaign.Job.Droptail b)
-      | _ -> invalid ())
-    | [ "red"; buffer ] -> (
-      match int_of_string_opt buffer with
-      | Some b when b > 0 -> Ok (Campaign.Job.Red b)
-      | _ -> invalid ())
-    | _ -> invalid ()
-  in
-  let print ppf g = Format.pp_print_string ppf (Campaign.Job.gateway_name g) in
-  Arg.conv ~docv:"GATEWAY" (parse, print)
+  conv ~docv:"GATEWAY" Campaign.Job.gateway_of_string Campaign.Job.gateway_name
 
 let job_topology_conv =
-  let parse s =
-    let invalid () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "invalid topology %S (expected dumbbell or parking-lot[:HOPS])" s))
-    in
-    match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-    | [ "dumbbell" ] -> Ok Campaign.Job.Dumbbell
-    | [ "parking-lot" ] -> Ok (Campaign.Job.Parking_lot 2)
-    | [ "parking-lot"; hops ] -> (
-      match int_of_string_opt hops with
-      | Some h when h >= 1 -> Ok (Campaign.Job.Parking_lot h)
-      | _ -> invalid ())
-    | _ -> invalid ()
-  in
-  let print ppf t = Format.pp_print_string ppf (Campaign.Job.topology_name t) in
-  Arg.conv ~docv:"TOPOLOGY" (parse, print)
+  conv ~docv:"TOPOLOGY" Campaign.Job.topology_of_string
+    Campaign.Job.topology_name
 
 let sweep_term =
   let variants =
@@ -946,12 +906,8 @@ let sweep_term =
   in
   let pool =
     let pool_conv =
-      Arg.enum
-        [
-          ("serial", Campaign.Pool.Serial);
-          ("fork", Campaign.Pool.Forked);
-          ("domains", Campaign.Pool.Domains);
-        ]
+      conv ~docv:"BACKEND" Campaign.Pool.backend_of_string
+        Campaign.Pool.backend_name
     in
     let doc =
       "Worker pool backend: $(b,fork) (one process per job attempt; full \
@@ -1203,99 +1159,6 @@ let all_cmd =
           experiment, or a subset via --only).")
     all_term
 
-(* modelcheck: model-vs-measured validation of the modeled variants *)
-
-let modelcheck_term =
-  let variants =
-    let doc =
-      "Comma-separated variants to validate (default: every modeled one)."
-    in
-    Arg.(
-      value
-      & opt (list ~sep:',' variant_conv) Experiments.Modelcheck.default_variants
-      & info [ "variants" ] ~docv:"V,V,..." ~doc)
-  in
-  let losses =
-    let doc = "Comma-separated uniform loss rates to validate at." in
-    Arg.(
-      value
-      & opt (list ~sep:',' float) Experiments.Modelcheck.default_loss_rates
-      & info [ "loss" ] ~docv:"RATES" ~doc)
-  in
-  let seeds =
-    let doc = "Number of seeds averaged per cell (1-5)." in
-    Arg.(value & opt int 5 & info [ "seeds" ] ~docv:"N" ~doc)
-  in
-  let duration =
-    let doc = "Per-run simulation length in seconds." in
-    Arg.(value & opt float 100.0 & info [ "duration" ] ~docv:"SECONDS" ~doc)
-  in
-  let rrr_level =
-    let doc = "Congestion level the rrr variant (and its model) runs at." in
-    Arg.(value & opt float 0.5 & info [ "rrr-level" ] ~docv:"LEVEL" ~doc)
-  in
-  let check =
-    let doc =
-      "Exit non-zero if any cell's |deviation| exceeds $(docv) (e.g. 0.15). \
-       Without it the report is informational."
-    in
-    Arg.(value & opt (some float) None & info [ "check" ] ~docv:"TOL" ~doc)
-  in
-  let run variants losses seeds duration rrr_level check =
-    (if rrr_level <= 0.0 || rrr_level >= 1.0 then begin
-       Printf.eprintf "rr-sim: --rrr-level must be inside (0, 1)\n";
-       exit 2
-     end);
-    let all_seeds = [ 3L; 17L; 29L; 101L; 2048L ] in
-    (if seeds < 1 || seeds > List.length all_seeds then begin
-       Printf.eprintf "rr-sim: --seeds must be 1-%d\n" (List.length all_seeds);
-       exit 2
-     end);
-    let seeds = List.filteri (fun i _ -> i < seeds) all_seeds in
-    let outcome =
-      Experiments.Modelcheck.run ~variants ~loss_rates:losses ~seeds ~duration
-        ~rrr_level ()
-    in
-    print_string (Experiments.Modelcheck.report outcome);
-    Option.iter
-      (fun tolerance ->
-        let over =
-          List.concat_map
-            (fun point ->
-              List.filter_map
-                (fun row ->
-                  if Float.abs row.Experiments.Modelcheck.deviation > tolerance
-                  then
-                    Some
-                      (Printf.sprintf "%s at p=%g: %+.1f%%"
-                         (Core.Variant.name row.Experiments.Modelcheck.variant)
-                         point.Experiments.Modelcheck.loss_rate
-                         (100.0 *. row.Experiments.Modelcheck.deviation))
-                  else None)
-                point.Experiments.Modelcheck.rows)
-            outcome.Experiments.Modelcheck.points
-        in
-        if over <> [] then begin
-          Printf.printf "\n%d cell(s) beyond the %.0f%% tolerance:\n%s\n"
-            (List.length over) (100.0 *. tolerance)
-            (String.concat "\n" over);
-          exit 1
-        end)
-      check
-  in
-  Term.(
-    const run $ variants $ losses $ seeds $ duration
-    $ rrr_level $ check)
-
-let modelcheck_cmd =
-  Cmd.v
-    (Cmd.info "modelcheck"
-       ~doc:
-         "Validate each modeled variant's measured steady-state window \
-          against its own analytical model (Mathis square-root, Relentless \
-          1/p, RRR generalised AIMD) on the clean uniform-loss dumbbell.")
-    modelcheck_term
-
 (* -- trace: offline tooling for recorded event traces -- *)
 
 let trace_export_term =
@@ -1314,7 +1177,7 @@ let trace_export_term =
     in
     match
       match output with
-      | Some path -> Out_channel.with_open_bin path convert
+      | Some path -> with_output path convert
       | None -> convert stdout
     with
     | () -> `Ok ()
@@ -1354,26 +1217,6 @@ let main_cmd =
   in
   Cmd.group ~default
     (Cmd.info "rr-sim" ~version:"1.0.0" ~doc)
-    [
-      fig5_cmd;
-      fig6_cmd;
-      fig7_cmd;
-      table5_cmd;
-      ablation_cmd;
-      ack_loss_cmd;
-      sync_cmd;
-      smooth_cmd;
-      vegas_cmd;
-      rtt_cmd;
-      two_way_cmd;
-      sensitivity_cmd;
-      audit_cmd;
-      run_cmd;
-      sweep_cmd;
-      modelcheck_cmd;
-      trace_cmd;
-      list_cmd;
-      all_cmd;
-    ]
+    (artifact_cmds @ [ audit_cmd; run_cmd; sweep_cmd; trace_cmd; list_cmd; all_cmd ])
 
 let () = exit (Cmd.eval main_cmd)

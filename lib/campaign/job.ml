@@ -33,6 +33,35 @@ let topology_name = function
   | Dumbbell -> "dumbbell"
   | Parking_lot hops -> Printf.sprintf "parking-lot:%d" hops
 
+(* NAME or NAME:N with N a positive int, case and surrounding blanks
+   ignored: the grammar both axis spellings share. *)
+let split_spelling s =
+  match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
+  | [ name ] -> Some (name, None)
+  | [ name; n ] -> (
+    match int_of_string_opt n with
+    | Some n when n > 0 -> Some (name, Some n)
+    | _ -> None)
+  | _ -> None
+
+let gateway_of_string s =
+  match split_spelling s with
+  | Some ("droptail", buffer) -> Ok (Droptail (Option.value buffer ~default:8))
+  | Some ("red", buffer) -> Ok (Red (Option.value buffer ~default:25))
+  | _ ->
+    Error
+      (Printf.sprintf
+         "invalid gateway %S (expected droptail[:BUFFER] or red[:BUFFER])" s)
+
+let topology_of_string s =
+  match split_spelling s with
+  | Some ("dumbbell", None) -> Ok Dumbbell
+  | Some ("parking-lot", hops) -> Ok (Parking_lot (Option.value hops ~default:2))
+  | _ ->
+    Error
+      (Printf.sprintf
+         "invalid topology %S (expected dumbbell or parking-lot[:HOPS])" s)
+
 let point_label job =
   let base =
     Printf.sprintf "%s/%s/loss %g%%/ack %g%%"
@@ -149,16 +178,9 @@ let run job =
     match job.topology with
     | Dumbbell -> Experiments.Scenario.dumbbell config
     | Parking_lot hops ->
-      let spec, endpoints =
-        Net.Topology.parking_lot ~hops
-          ~long_flows:(job.flows + cross_slots)
-          ~cross_per_hop:0 ~config ()
-      in
-      Experiments.Scenario.graph ~bottleneck:"bottleneck0"
-        ~loss_link:"bottleneck0"
-        ~ack_loss_link:(Printf.sprintf "rbottleneck%d" (hops - 1))
-        ~flap_links:[ "bottleneck0"; "rbottleneck0" ]
-        ~spec ~endpoints ()
+      Experiments.Scenario.parking_lot ~hops
+        ~long_flows:(job.flows + cross_slots)
+        ~cross_per_hop:0 ~config ()
   in
   let params =
     {

@@ -58,11 +58,23 @@ val flap_down_for : float
     [handover_period] axis: 400 ms. *)
 val handover_gap : float
 
+(** [gateway_name g] is the sweep-axis spelling: ["droptail:<buffer>"]
+    or ["red:<buffer>"]. *)
 val gateway_name : gateway -> string
+
+(** [gateway_of_string s] parses [droptail[:BUFFER]] or [red[:BUFFER]]
+    (case-insensitive; BUFFER a positive int, default 8 for drop-tail
+    and 25 for RED), the inverse of {!gateway_name}. Never raises. *)
+val gateway_of_string : string -> (gateway, string) result
 
 (** [topology_name t] is the sweep-axis spelling: ["dumbbell"] or
     ["parking-lot:<hops>"]. *)
 val topology_name : topology -> string
+
+(** [topology_of_string s] parses [dumbbell] or [parking-lot[:HOPS]]
+    (case-insensitive; HOPS a positive int, default 2), the inverse of
+    {!topology_name}. Never raises. *)
+val topology_of_string : string -> (topology, string) result
 
 (** [point_label job] names the grid point the job belongs to —
     everything but the seed — e.g. ["rr/droptail:8/loss 2%/ack 0%"].

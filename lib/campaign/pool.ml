@@ -14,7 +14,10 @@ let backend_of_string s =
   | "serial" -> Ok Serial
   | "fork" | "forked" -> Ok Forked
   | "domain" | "domains" -> Ok Domains
-  | other -> Error (Printf.sprintf "unknown pool backend %S" other)
+  | _ ->
+    Error
+      (Printf.sprintf
+         "unknown pool backend %S (expected serial, fork or domains)" s)
 
 (* -- failure taxonomy -- *)
 

@@ -76,6 +76,15 @@ let graph ?bottleneck ?loss_link ?ack_loss_link ?(flap_links = []) ~spec
   Graph
     { graph = spec; endpoints; bottleneck; loss_link; ack_loss_link; flap_links }
 
+let parking_lot ~hops ~long_flows ~cross_per_hop ~config () =
+  let spec, endpoints =
+    Net.Topology.parking_lot ~hops ~long_flows ~cross_per_hop ~config ()
+  in
+  graph ~bottleneck:"bottleneck0" ~loss_link:"bottleneck0"
+    ~ack_loss_link:(Printf.sprintf "rbottleneck%d" (hops - 1))
+    ~flap_links:[ "bottleneck0"; "rbottleneck0" ]
+    ~spec ~endpoints ()
+
 type spec = {
   topology : topology;
   flows : flow_spec list;

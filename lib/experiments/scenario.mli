@@ -123,6 +123,19 @@ val graph :
   unit ->
   topology
 
+(** [parking_lot ~hops ~long_flows ~cross_per_hop ~config ()] is
+    {!Net.Topology.parking_lot} as a scenario topology, its knobs on the
+    first bottleneck pair: [bottleneck0] is the monitored and lossy
+    link, ACK loss taps the last reverse hop [rbottleneck<hops-1>], and
+    flaps cut [bottleneck0] and [rbottleneck0] together. *)
+val parking_lot :
+  hops:int ->
+  long_flows:int ->
+  cross_per_hop:int ->
+  config:Net.Dumbbell.config ->
+  unit ->
+  topology
+
 type spec = {
   topology : topology;
   flows : flow_spec list;  (** one per flow id, in order *)

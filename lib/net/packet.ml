@@ -8,7 +8,9 @@ type kind =
 
      bit 0        1 = data, 0 = ack
      bits 1..62   seqno (data) or ackno (ack), biased by +1 so the
-                  pre-handshake cumulative point -1 encodes as 0
+                  pre-handshake cumulative point -1 encodes as 0;
+                  decoded with [asr], so negative numbers keep their
+                  sign
 
    [born_bits] is the order-preserving Timebits encoding of the
    creation timestamp, kept as an int so the record stays float-free
@@ -43,7 +45,7 @@ let[@inline] ack ~uid ~flow ~ackno ?(sack = []) ~size_bytes ~born () =
   }
 
 let[@inline] is_data t = t.info land 1 = 1
-let[@inline] seqno t = (t.info lsr 1) - 1
+let[@inline] seqno t = (t.info asr 1) - 1
 let[@inline] born t = Sim.Timebits.to_time t.born_bits
 
 let seq_exn t =

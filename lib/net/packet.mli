@@ -39,7 +39,10 @@ type t = private {
       (** creation time in {!Sim.Timebits} encoding — {!born} decodes *)
 }
 
-(** [data ~uid ~flow ~seq ~size_bytes ~born] builds a data segment. *)
+(** [data ~uid ~flow ~seq ~size_bytes ~born] builds a data segment.
+    Every [seq] in [[-2^61, 2^61 - 2]] reads back unchanged through
+    {!seq_exn} (and an [ackno] through {!ackno_exn}); that is also the
+    range [Audit.Trace]'s zigzag varints encode. *)
 val data : uid:int -> flow:int -> seq:int -> size_bytes:int -> born:float -> t
 
 (** [ack ~uid ~flow ~ackno ?sack ~size_bytes ~born ()] builds an ACK. *)

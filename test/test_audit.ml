@@ -646,12 +646,22 @@ let reference_queue_line ~time ~ev ~name packet =
   Printf.sprintf {|{"t":%.6f,"ev":"%s","queue":"%s",%s}|} time ev name
     (reference_packet_fields packet)
 
-(* Random data and ACK segments (sequence numbers from the
-   pre-handshake -1 up) enqueued, dropped and dequeued at random engine
+(* Random data and ACK segments (sequence numbers on both sides of
+   zero, out to the packable limits) enqueued, dropped and dequeued at random engine
    times, through queues with short and long names and
    a random staging threshold: the [`Jsonl] tracer writes exactly the
    reference lines, in order. *)
 let prop_jsonl_matches_reference =
+  let limit = 1 lsl 61 in
+  let seq =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, int_range (-1_000_000) 1_000_000);
+          (1, int_range (-limit) (limit - 2));
+          (1, oneofl [ -limit; limit - 2 ]);
+        ])
+  in
   let op =
     QCheck.Gen.(
       frequency
@@ -661,13 +671,13 @@ let prop_jsonl_matches_reference =
               (fun flow seq uid ->
                 Enqueue
                   (Net.Packet.data ~uid ~flow ~seq ~size_bytes:1000 ~born:0.0))
-              (int_bound 50) (int_range (-1) 1_000_000) (int_bound 100_000) );
+              (int_bound 50) seq (int_bound 100_000) );
           ( 2,
             map3
               (fun flow ackno uid ->
                 Enqueue
                   (Net.Packet.ack ~uid ~flow ~ackno ~size_bytes:40 ~born:0.0 ()))
-              (int_bound 50) (int_range (-1) 1_000_000) (int_bound 100_000) );
+              (int_bound 50) seq (int_bound 100_000) );
           (3, return Dequeue);
         ])
   in

@@ -542,6 +542,102 @@ let test_registry_unique_and_complete () =
         (String.length e.Experiments.Registry.synopsis > 0))
     Experiments.Registry.all
 
+(* -- CLI spellings: each parser lives next to its printer -- *)
+
+(* Two properties per spelling: parsing a printed value gives the value
+   back (and so printing a parsed spelling is the identity on canonical
+   spellings), and no input — random text, a truncated spelling, odd
+   case and blanks — makes the parser raise; what it does accept prints
+   to a spelling that parses to the same value. *)
+let spelling_props ~name ~gen ~parse ~print =
+  let printed = QCheck.Gen.map print gen in
+  let text =
+    QCheck.Gen.(
+      oneof
+        [
+          string_printable;
+          string_of (oneofl [ 'a'; 'd'; 'e'; 'r'; 'p'; 'l'; '-'; ':'; '0'; '1'; ' ' ]);
+          map2
+            (fun s n -> String.sub s 0 (min n (String.length s)))
+            printed (int_bound 24);
+          map (fun s -> " " ^ String.uppercase_ascii s ^ "\t") printed;
+        ])
+  in
+  [
+    QCheck.Test.make ~name:(name ^ " spelling round-trips") ~count:300
+      (QCheck.make ~print:print gen) (fun v ->
+        match parse (print v) with
+        | Ok v' -> v' = v && print v' = print v
+        | Error _ -> false);
+    QCheck.Test.make ~name:(name ^ " parser never raises") ~count:1000
+      (QCheck.make ~print:(Printf.sprintf "%S") text) (fun s ->
+        match parse s with
+        | Ok v -> parse (print v) = Ok v
+        | Error message -> message <> "");
+  ]
+
+let positive = QCheck.Gen.(oneof [ int_range 1 100; int_range 1 max_int ])
+
+let spelling_tests =
+  List.map QCheck_alcotest.to_alcotest
+    (spelling_props ~name:"gateway"
+       ~gen:
+         QCheck.Gen.(
+           oneof
+             [
+               map (fun b -> Campaign.Job.Droptail b) positive;
+               map (fun b -> Campaign.Job.Red b) positive;
+             ])
+       ~parse:Campaign.Job.gateway_of_string ~print:Campaign.Job.gateway_name
+    @ spelling_props ~name:"topology"
+        ~gen:
+          QCheck.Gen.(
+            oneof
+              [
+                return Campaign.Job.Dumbbell;
+                map (fun h -> Campaign.Job.Parking_lot h) positive;
+              ])
+        ~parse:Campaign.Job.topology_of_string ~print:Campaign.Job.topology_name
+    @ spelling_props ~name:"pool backend"
+        ~gen:Campaign.Pool.(QCheck.Gen.oneofl [ Serial; Forked; Domains ])
+        ~parse:Campaign.Pool.backend_of_string ~print:Campaign.Pool.backend_name)
+
+(* The defaults and the exact diagnostics the CLI prints. *)
+let test_spelling_defaults_and_errors () =
+  let gateway = Alcotest.testable (Fmt.of_to_string Campaign.Job.gateway_name) ( = ) in
+  let topology = Alcotest.testable (Fmt.of_to_string Campaign.Job.topology_name) ( = ) in
+  let ok_gateway s expected =
+    Alcotest.(check (result gateway string)) s (Ok expected)
+      (Campaign.Job.gateway_of_string s)
+  in
+  ok_gateway "droptail" (Campaign.Job.Droptail 8);
+  ok_gateway " RED " (Campaign.Job.Red 25);
+  ok_gateway "red:40" (Campaign.Job.Red 40);
+  List.iter
+    (fun s ->
+      Alcotest.(check (result gateway string)) s
+        (Error
+           (Printf.sprintf
+              "invalid gateway %S (expected droptail[:BUFFER] or red[:BUFFER])" s))
+        (Campaign.Job.gateway_of_string s))
+    [ ""; "drop"; "droptail:"; "droptail:0"; "red:-3"; "red:2:3"; "fifo:8" ];
+  Alcotest.(check (result topology string)) "parking-lot" (Ok (Campaign.Job.Parking_lot 2))
+    (Campaign.Job.topology_of_string "parking-lot");
+  List.iter
+    (fun s ->
+      Alcotest.(check (result topology string)) s
+        (Error
+           (Printf.sprintf
+              "invalid topology %S (expected dumbbell or parking-lot[:HOPS])" s))
+        (Campaign.Job.topology_of_string s))
+    [ "dumbbell:2"; "parking-lot:0"; "parking"; "fat-tree"; ":" ];
+  Alcotest.(check bool) "pool aliases" true
+    (Campaign.Pool.backend_of_string "Forked" = Ok Campaign.Pool.Forked
+    && Campaign.Pool.backend_of_string "domain" = Ok Campaign.Pool.Domains);
+  Alcotest.(check bool) "unknown pool backend" true
+    (Campaign.Pool.backend_of_string "threads"
+    = Error {|unknown pool backend "threads" (expected serial, fork or domains)|})
+
 let suite =
   [
     ( "campaign",
@@ -583,5 +679,8 @@ let suite =
           test_journal_format_compatibility;
         Alcotest.test_case "summary stats" `Quick test_summary;
         Alcotest.test_case "registry" `Quick test_registry_unique_and_complete;
-      ] );
+        Alcotest.test_case "CLI spelling defaults and errors" `Quick
+          test_spelling_defaults_and_errors;
+      ]
+      @ spelling_tests );
   ]

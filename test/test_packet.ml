@@ -35,6 +35,30 @@ let test_pp () =
   Alcotest.(check bool) "ack mentions ackno" true
     (contains (Format.asprintf "%a" Net.Packet.pp ack) "ackno=4")
 
+(* Every sequence number in the packable range round-trips through the
+   shared [info] word, negative and near-limit ones included. *)
+let prop_seqno_roundtrip =
+  let limit = 1 lsl 61 in
+  let seq =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range (-1000) 1000;
+          int_range (-limit) (limit - 2);
+          oneofl [ -limit; -limit + 1; -2; -1; 0; limit - 3; limit - 2 ];
+        ])
+  in
+  QCheck.Test.make ~name:"data/ack seqno round-trips" ~count:1000
+    (QCheck.make ~print:string_of_int seq) (fun seq ->
+      let data = Net.Packet.data ~uid:0 ~flow:0 ~seq ~size_bytes:1000 ~born:0.0 in
+      let ack =
+        Net.Packet.ack ~uid:0 ~flow:0 ~ackno:seq ~size_bytes:40 ~born:0.0 ()
+      in
+      Net.Packet.seq_exn data = seq
+      && Net.Packet.ackno_exn ack = seq
+      && Net.Packet.kind data = Net.Packet.Data { seq }
+      && Net.Packet.kind ack = Net.Packet.Ack { ackno = seq; sack = [] })
+
 let suite =
   [
     ( "packet",
@@ -42,5 +66,6 @@ let suite =
         Alcotest.test_case "data" `Quick test_data;
         Alcotest.test_case "ack" `Quick test_ack;
         Alcotest.test_case "pp" `Quick test_pp;
+        QCheck_alcotest.to_alcotest prop_seqno_roundtrip;
       ] );
   ]
